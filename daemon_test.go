@@ -195,6 +195,27 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 }
 
+// TestDaemonRejectsInvalidMachine: a machine override the simulator cannot
+// build is a 400 at admission for every protocol, not a failed (or
+// panicking) job.
+func TestDaemonRejectsInvalidMachine(t *testing.T) {
+	_, srv := newDaemon(t, runner.Config{Capacity: 4, Workers: 1})
+	for _, protocol := range tcc.ProtocolNames() {
+		for _, machine := range []string{`{"l2_ways":-1}`, `{"link_bytes_per_cycle":-8}`, `{"mem_latency":-1}`} {
+			body := `{"schema":"scalabletcc/job","version":1,"kind":"run","run":{"app":"hotspot","procs":4,` +
+				`"protocol":"` + protocol + `","machine":` + machine + `}}`
+			resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400", protocol, machine, resp.StatusCode)
+			}
+		}
+	}
+}
+
 // TestDaemonCancel cancels a sweep over HTTP and requires it to retire as
 // canceled (a sweep yields at cell boundaries, so cancellation lands whether
 // the job was still queued or already running).

@@ -90,15 +90,16 @@ func runGoldenCell(t *testing.T, c goldenCell) goldenCell {
 		c.Instr = res.Instr
 		c.Bytes = res.Traffic.TotalBytes()
 	case "baseline":
-		sys, err := tcc.NewBaselineSystem(tcc.DefaultBaselineConfig(c.Procs), prog)
+		sys, err := tcc.NewSystemFor("baseline", tcc.DefaultConfig(c.Procs), prog)
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
 		sys.Observe(eh.observer())
-		res, err := sys.Run()
+		out, err := sys.Run()
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
+		res := out.Baseline
 		c.Cycles = uint64(res.Cycles)
 		c.Commits = res.Commits
 		c.Violations = res.Violations

@@ -14,109 +14,65 @@ package baseline
 
 import (
 	"fmt"
-	"sort"
 
+	"scalabletcc/internal/machine"
 	"scalabletcc/internal/mem"
-	"scalabletcc/internal/obs"
 	"scalabletcc/internal/sim"
 	"scalabletcc/internal/stats"
-	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
 )
 
-// Config parameterizes the bus-based machine. The cache hierarchy matches
-// the scalable design so only the commit architecture differs.
+// Config parameterizes the bus-based machine: the shared node (whose cache
+// hierarchy matches the scalable design, so only the commit architecture
+// differs) plus the ordered bus that replaces the mesh.
 type Config struct {
-	Procs    int
-	Geometry mem.Geometry
-
-	L1Size, L1Ways int
-	L1Latency      sim.Time
-	L2Size, L2Ways int
-	L2Latency      sim.Time
+	machine.Config
 
 	BusBytesPerCycle int      // ordered bus bandwidth
 	BusArbitration   sim.Time // cycles to win the bus for one message
-	MemLatency       sim.Time
 
 	LineGranularity      bool
 	ViolationRestartCost sim.Time
-	Seed                 uint64
-	MaxCycles            sim.Time
 }
 
 // DefaultConfig mirrors core.DefaultConfig's node parameters with a shared
 // bus in place of the mesh.
 func DefaultConfig(procs int) Config {
 	return Config{
-		Procs:                procs,
-		Geometry:             mem.DefaultGeometry(),
-		L1Size:               32 << 10,
-		L1Ways:               4,
-		L1Latency:            1,
-		L2Size:               512 << 10,
-		L2Ways:               8,
-		L2Latency:            6,
+		Config:               machine.DefaultConfig(procs),
 		BusBytesPerCycle:     16,
 		BusArbitration:       3,
-		MemLatency:           100,
 		ViolationRestartCost: 5,
-		Seed:                 1,
 	}
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.Procs <= 0 {
-		return fmt.Errorf("baseline: Config.Procs must be positive, got %d", c.Procs)
+	if err := c.Config.Validate("baseline"); err != nil {
+		return err
 	}
 	if c.BusBytesPerCycle <= 0 {
 		return fmt.Errorf("baseline: Config.BusBytesPerCycle must be positive, got %d", c.BusBytesPerCycle)
 	}
-	return c.Geometry.Validate()
+	return nil
 }
 
 // Results mirrors the scalable system's result shape where meaningful.
 type Results struct {
-	Cycles     sim.Time
-	Breakdown  stats.Breakdown
-	Commits    uint64
-	Violations uint64
-	Instr      uint64
-	BusBytes   uint64
-	BusBusy    sim.Time // cycles the bus was occupied
-	CommitLog  []verify.Record
-}
-
-// Speedup returns base's cycle count divided by r's.
-func (r *Results) Speedup(base *Results) float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(base.Cycles) / float64(r.Cycles)
+	machine.Totals
+	BusBytes uint64
+	BusBusy  sim.Time // cycles the bus was occupied
 }
 
 // Summary returns the machine-independent digest shared with the scalable
 // design (the tcc.Summarizer interface).
-func (r *Results) Summary() stats.Summary {
-	return stats.Summary{
-		Protocol:     "baseline",
-		Cycles:       uint64(r.Cycles),
-		Instructions: r.Instr,
-		Commits:      r.Commits,
-		Violations:   r.Violations,
-		Breakdown:    r.Breakdown,
-	}
-}
+func (r *Results) Summary() stats.Summary { return r.Totals.Summary("baseline") }
 
 // System is the assembled bus-based TCC machine.
 type System struct {
-	cfg    Config
-	kernel *sim.Kernel
-	prog   workload.Program
-
-	procs  []*proc
-	memory *mem.Memory
+	*machine.Machine
+	cfg   Config // the bus knobs; the node's are Machine.Cfg
+	procs []*proc
 
 	// Ordered bus: one shared medium with FIFO occupancy.
 	busFree  sim.Time
@@ -127,22 +83,7 @@ type System struct {
 	tokenHeld  bool
 	tokenQueue []*proc
 
-	commitSeq  mem.Version // commit order stands in for TIDs
-	collectLog bool
-	commitLog  []verify.Record
-
-	// obsv, when non-nil, receives one typed obs.Event per protocol action
-	// (the lifecycle subset that exists on a bus machine: fills, commits,
-	// snoop invalidations, violations, overflows, barriers).
-	obsv obs.Observer
-
-	barrierCount int
-	running      int
-
-	totalCommits    uint64
-	totalViolations uint64
-	committedInstr  uint64
-	endTime         sim.Time
+	commitSeq mem.Version // commit order stands in for TIDs
 }
 
 // NewSystem builds a baseline machine for prog.
@@ -150,54 +91,36 @@ func NewSystem(cfg Config, prog workload.Program) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if prog.Procs() != cfg.Procs {
-		return nil, fmt.Errorf("baseline: program built for %d procs, config has %d", prog.Procs(), cfg.Procs)
+	m, err := machine.New("baseline", cfg.Config, prog)
+	if err != nil {
+		return nil, err
 	}
-	s := &System{
-		cfg:    cfg,
-		kernel: &sim.Kernel{},
-		prog:   prog,
-		memory: mem.NewMemory(cfg.Geometry),
-	}
+	s := &System{Machine: m, cfg: cfg}
 	for i := 0; i < cfg.Procs; i++ {
 		s.procs = append(s.procs, newProc(s, i))
 	}
 	return s, nil
 }
 
-// CollectCommitLog enables serializability logging.
-func (s *System) CollectCommitLog(on bool) { s.collectLog = on }
-
-// Observe attaches a protocol-event observer (nil detaches). Must be called
-// before Run; observation is passive.
-func (s *System) Observe(o obs.Observer) { s.obsv = o }
-
-// emit stamps the current cycle on e and hands it to the observer. Callers
-// nil-check s.obsv first.
-func (s *System) emit(e obs.Event) {
-	e.Cycle = uint64(s.kernel.Now())
-	s.obsv.Event(e)
-}
-
-// busSend schedules fn after the ordered bus carries a message of the given
-// size, modeling arbitration plus serialization.
-func (s *System) busSend(bytes int, fn func()) {
+// busSend posts code (with a1) to p once the ordered bus has carried a
+// message of the given size, modeling arbitration plus serialization.
+func (s *System) busSend(p *proc, bytes int, code uint32, a1 uint64) {
 	occupancy := sim.Time((bytes+s.cfg.BusBytesPerCycle-1)/s.cfg.BusBytesPerCycle) + s.cfg.BusArbitration
-	start := s.kernel.Now()
+	start := s.Kernel.Now()
 	if s.busFree > start {
 		start = s.busFree
 	}
 	s.busFree = start + occupancy
 	s.busBusy += occupancy
 	s.busBytes += uint64(bytes)
-	s.kernel.At(start+occupancy, fn)
+	s.Kernel.Post(start+occupancy, p, code, a1, 0)
 }
 
 // acquireToken queues p for the global commit token.
 func (s *System) acquireToken(p *proc) {
 	if !s.tokenHeld {
 		s.tokenHeld = true
-		s.kernel.After(s.cfg.BusArbitration, p.onToken)
+		s.Kernel.PostAfter(s.cfg.BusArbitration, p, opToken, 0, 0)
 		return
 	}
 	s.tokenQueue = append(s.tokenQueue, p)
@@ -211,76 +134,13 @@ func (s *System) releaseToken() {
 	}
 	next := s.tokenQueue[0]
 	s.tokenQueue = s.tokenQueue[1:]
-	s.kernel.After(s.cfg.BusArbitration, next.onToken)
+	s.Kernel.PostAfter(s.cfg.BusArbitration, next, opToken, 0, 0)
 }
-
-// barrier synchronizes phases.
-func (s *System) barrierArrive() {
-	s.barrierCount++
-	if s.barrierCount < s.cfg.Procs {
-		return
-	}
-	s.barrierCount = 0
-	for _, p := range s.procs {
-		pp := p
-		s.kernel.After(1, pp.onBarrierRelease)
-	}
-}
-
-func (s *System) procDone() { s.running-- }
 
 // Run executes the program to completion.
 func (s *System) Run() (*Results, error) {
-	s.running = s.cfg.Procs
-	for _, p := range s.procs {
-		pp := p
-		s.kernel.At(0, pp.start)
+	if err := s.Simulate(); err != nil {
+		return nil, err
 	}
-	for s.kernel.Pending() > 0 {
-		if s.cfg.MaxCycles > 0 && s.kernel.Now() > s.cfg.MaxCycles {
-			return nil, fmt.Errorf("baseline: watchdog expired at cycle %d", s.kernel.Now())
-		}
-		s.kernel.StepCycle()
-	}
-	if s.running != 0 {
-		return nil, fmt.Errorf("baseline: deadlock with %d processors unfinished", s.running)
-	}
-	s.endTime = s.kernel.Now()
-	r := &Results{
-		Cycles:     s.endTime,
-		Commits:    s.totalCommits,
-		Violations: s.totalViolations,
-		Instr:      s.committedInstr,
-		BusBytes:   s.busBytes,
-		BusBusy:    s.busBusy,
-		CommitLog:  s.commitLog,
-	}
-	for _, p := range s.procs {
-		r.Breakdown = r.Breakdown.Plus(p.breakdown)
-	}
-	return r, nil
-}
-
-// AuditFinalMemory cross-checks memory against the TID-serial replay of the
-// commit log (bus commits write through, so every committed word must be in
-// the memory banks). Requires CollectCommitLog.
-func (s *System) AuditFinalMemory() error {
-	if !s.collectLog {
-		return fmt.Errorf("baseline: AuditFinalMemory requires CollectCommitLog")
-	}
-	ideal := verify.FinalMemory(s.commitLog)
-	addrs := make([]mem.Addr, 0, len(ideal))
-	for a := range ideal {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	g := s.cfg.Geometry
-	for _, a := range addrs {
-		got := s.memory.Line(g.Line(a))[g.WordIndex(a)]
-		if got != ideal[a] {
-			return fmt.Errorf("baseline: final memory mismatch at %#x: memory has version %d, replay requires %d",
-				uint64(a), uint64(got), uint64(ideal[a]))
-		}
-	}
-	return nil
+	return &Results{Totals: s.Totals(), BusBytes: s.busBytes, BusBusy: s.busBusy}, nil
 }

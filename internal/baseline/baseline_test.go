@@ -21,6 +21,9 @@ func run(t *testing.T, prof workload.Profile, procs int) *Results {
 	if err != nil {
 		t.Fatalf("Run(%s, %d): %v", prof.Name, procs, err)
 	}
+	if n := sys.Recs.Live(); n != 0 {
+		t.Fatalf("%s on %d procs: %d payload records never freed", prof.Name, procs, n)
+	}
 	if viols := verify.Check(res.CommitLog); len(viols) != 0 {
 		t.Fatalf("%s on %d procs: %d serializability violations, first: %v",
 			prof.Name, procs, len(viols), viols[0])

@@ -3,15 +3,16 @@ package eager
 import (
 	"testing"
 
+	"scalabletcc/internal/machine"
 	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
 )
 
 // runProfile runs a (possibly scaled) profile on procs processors and checks
 // the serializability and final-memory oracles.
-func runProfile(t *testing.T, prof workload.Profile, procs int, mutate func(*Config)) *Results {
+func runProfile(t *testing.T, prof workload.Profile, procs int, mutate func(*machine.Config)) *Results {
 	t.Helper()
-	cfg := DefaultConfig(procs)
+	cfg := machine.DefaultConfig(procs)
 	cfg.MaxCycles = 2_000_000_000
 	if mutate != nil {
 		mutate(&cfg)
@@ -25,6 +26,9 @@ func runProfile(t *testing.T, prof workload.Profile, procs int, mutate func(*Con
 	res, err := sys.Run()
 	if err != nil {
 		t.Fatalf("Run(%s, %d procs): %v", prof.Name, procs, err)
+	}
+	if n := sys.Recs.Live(); n != 0 {
+		t.Fatalf("%s on %d procs: %d payload records never freed", prof.Name, procs, n)
 	}
 	if viols := verify.Check(res.CommitLog); len(viols) != 0 {
 		t.Fatalf("%s on %d procs: %d serializability violations (first %v)",
@@ -56,7 +60,7 @@ func TestSerializabilitySweep(t *testing.T) {
 		for _, procs := range []int{2, 5, 8} {
 			for seed := uint64(1); seed <= 3; seed++ {
 				s := seed
-				runProfile(t, prof, procs, func(c *Config) { c.Seed = s })
+				runProfile(t, prof, procs, func(c *machine.Config) { c.Seed = s })
 			}
 		}
 	}
@@ -74,7 +78,7 @@ func TestEveryTransactionCommits(t *testing.T) {
 				want += prog.TxCount(pr, ph)
 			}
 		}
-		res := runProfile(t, prof, procs, func(c *Config) { c.Seed = 2 })
+		res := runProfile(t, prof, procs, func(c *machine.Config) { c.Seed = 2 })
 		if res.Commits != uint64(want) {
 			t.Fatalf("procs=%d: %d commits, want %d", procs, res.Commits, want)
 		}
@@ -95,7 +99,7 @@ func TestNackAccounting(t *testing.T) {
 // results; a different seed must not.
 func TestDeterminism(t *testing.T) {
 	run := func(seed uint64) *Results {
-		return runProfile(t, workload.Hotspot().Scale(0.25), 8, func(c *Config) { c.Seed = seed })
+		return runProfile(t, workload.Hotspot().Scale(0.25), 8, func(c *machine.Config) { c.Seed = seed })
 	}
 	a, b, c := run(3), run(3), run(4)
 	if a.Cycles != b.Cycles || a.Commits != b.Commits || a.Violations != b.Violations ||
@@ -111,7 +115,7 @@ func TestDeterminism(t *testing.T) {
 // eviction must only force a refetch — never an abort. On one processor no
 // conflicts exist, so violations stay zero even with a tiny cache.
 func TestSmallCachePressure(t *testing.T) {
-	res := runProfile(t, workload.Barnes().Scale(0.05), 1, func(c *Config) {
+	res := runProfile(t, workload.Barnes().Scale(0.05), 1, func(c *machine.Config) {
 		c.L2Size = 4 << 10
 		c.L1Size = 1 << 10
 	})
@@ -124,19 +128,19 @@ func TestSmallCachePressure(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	if err := DefaultConfig(8).Validate(); err != nil {
+	if err := machine.DefaultConfig(8).Validate("eager"); err != nil {
 		t.Fatalf("default config invalid: %v", err)
 	}
-	bad := []func(*Config){
-		func(c *Config) { c.Procs = 0 },
-		func(c *Config) { c.BackoffBase = 0 },
-		func(c *Config) { c.BackoffMax = c.BackoffBase - 1 },
-		func(c *Config) { c.Geometry.LineSize = 48 },
+	bad := []func(*machine.Config){
+		func(c *machine.Config) { c.Procs = 0 },
+		func(c *machine.Config) { c.BackoffBase = 0 },
+		func(c *machine.Config) { c.BackoffMax = c.BackoffBase - 1 },
+		func(c *machine.Config) { c.Geometry.LineSize = 48 },
 	}
 	for i, mutate := range bad {
-		cfg := DefaultConfig(8)
+		cfg := machine.DefaultConfig(8)
 		mutate(&cfg)
-		if cfg.Validate() == nil {
+		if cfg.Validate("eager") == nil {
 			t.Errorf("case %d validated", i)
 		}
 	}
@@ -144,13 +148,13 @@ func TestConfigValidation(t *testing.T) {
 
 func TestSystemRejectsProcMismatch(t *testing.T) {
 	prog := workload.Barnes().Build(4, 1)
-	if _, err := NewSystem(DefaultConfig(8), prog); err == nil {
+	if _, err := NewSystem(machine.DefaultConfig(8), prog); err == nil {
 		t.Fatal("proc-count mismatch accepted")
 	}
 }
 
 func TestWatchdog(t *testing.T) {
-	cfg := DefaultConfig(2)
+	cfg := machine.DefaultConfig(2)
 	cfg.MaxCycles = 100
 	sys, err := NewSystem(cfg, workload.Equake().Scale(0.01).Build(2, 1))
 	if err != nil {

@@ -1,15 +1,11 @@
 package eager
 
 import (
-	"scalabletcc/internal/bits"
-	"scalabletcc/internal/cache"
+	"scalabletcc/internal/machine"
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/mesh"
 	"scalabletcc/internal/obs"
 	"scalabletcc/internal/sim"
-	"scalabletcc/internal/stats"
-	"scalabletcc/internal/tid"
-	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
 )
 
@@ -26,194 +22,120 @@ const (
 	abortWriteConflict        // write NACKed by foreign readers or a writer
 )
 
-type procState int
-
+// Opcodes. The processor-side ones continue an attempt: a1 is the epoch
+// and HandleEvent drops them once the attempt has moved on. The home-side
+// ones, from opGrantTID on, run at a line's home or the TID vendor
+// whatever the requester has done since; they are delivered to the
+// requesting processor's handler only to name the requester.
 const (
-	stRunning   procState = iota
-	stWaitRead            // waiting for a read registration / data reply
-	stWaitWrite           // waiting for a write registration ack
-	stWaitTID             // commit: waiting for the TID vendor
-	stCommit              // commit: waiting for write-back/release acks
-	stBackoff
-	stBarrier
-	stDone
+	opAbort      = machine.OpUser + iota // a2 = reason: a home NACKed the request
+	opReadValid                          // the read registered; the cached copy is current
+	opReadData                           // a2 = record: the read registered; line data follows
+	opWriteAck                           // the write registered
+	opTID                                // a2 = TID: the commit sequence number arrived
+	opCommitAck                          // a home applied the commit and released
+	opGrantTID                           // issue a TID at node 0
+	opRead                               // a1 = record: register a reader at the home
+	opReadMem                            // a1 = record: the data reply's memory access is done
+	opWrite                              // a1 = record: register the writer at the home
+	opCommitHome                         // a1 = record: write back and release the listed lines
+	opRelease                            // a1 = record: release the listed lines (abort)
 )
-
-// txLine is one line's per-transaction state: which registrations this
-// transaction holds at the line's home, and the buffered write mask.
-type txLine struct {
-	read    bool // registered as a reader (local copy is protected)
-	write   bool // registered as the writer
-	written bits.WordMask
-}
-
-// homeGroup batches one message's lines for a single home.
-type homeGroup struct {
-	home  int
-	bases []mem.Addr
-}
 
 // proc is one eager-HTM processor: every first access announces itself to
 // the line's home, conflicts abort the requester immediately.
 type proc struct {
+	machine.Node
 	sys *System
-	id  int
+	rng *sim.RNG
 
-	cache   *cache.Cache
-	l1      *cache.TagArray
-	lineVer map[mem.Addr]mem.Version // version of each locally cached line
-	rng     *sim.RNG
-
-	progPhase int
-	txIdx     int
-	ops       []workload.Op
-	opIdx     int
-
-	state     procState
-	epoch     uint64
-	attempts  int
-	txStart   sim.Time
-	missStart sim.Time
-	commitAt  sim.Time
-
-	pendUseful uint64
-	pendMiss   uint64
-
-	lines   map[mem.Addr]*txLine
-	order   []mem.Addr
-	readSet mem.ReadSet
+	commitAt sim.Time
+	// tx holds the registrations this attempt holds at the lines' homes
+	// (Read, Write) and its buffered writes.
+	tx machine.LineSet
 
 	tid         mem.Version
 	pendingAcks int
-
-	idleStart sim.Time
-	breakdown stats.Breakdown
-	commits   uint64
 }
 
 func newProc(s *System, id int) *proc {
-	return &proc{
-		sys:     s,
-		id:      id,
-		cache:   cache.New(s.cfg.Geometry, s.cfg.L2Size, s.cfg.L2Ways),
-		l1:      cache.NewTagArray(s.cfg.Geometry, s.cfg.L1Size, s.cfg.L1Ways),
-		lineVer: make(map[mem.Addr]mem.Version),
-		rng:     sim.NewRNG(s.cfg.Seed).Derive(0xEA6E, uint64(id)),
-		state:   stDone,
-	}
+	p := &proc{sys: s, rng: sim.NewRNG(s.Cfg.Seed).Derive(0xEA6E, uint64(id))}
+	p.Init(s.Machine, id, p)
+	return p
 }
 
-func (p *proc) guard(fn func()) func() {
-	e := p.epoch
-	return func() {
-		if p.epoch == e {
-			fn()
-		}
-	}
-}
-
-func (p *proc) start() {
-	p.progPhase = 0
-	p.txIdx = 0
-	p.beginTx()
-}
-
-func (p *proc) beginTx() {
-	if p.txIdx >= p.sys.prog.TxCount(p.id, p.progPhase) {
-		p.state = stBarrier
-		p.idleStart = p.sys.kernel.Now()
-		if p.sys.obsv != nil {
-			p.sys.emit(obs.Event{Kind: obs.KBarrier, Node: p.id, Peer: -1, Arg: int64(p.progPhase)})
-		}
-		p.sys.barrierArrive()
+// HandleEvent runs one of the processor's events.
+func (p *proc) HandleEvent(code uint32, a1, a2 uint64) {
+	if p.Dispatch(code, a1, a2) {
 		return
 	}
-	p.ops = p.sys.prog.Tx(p.id, p.progPhase, p.txIdx).Ops
-	p.attempts = 0
-	p.startAttempt()
-}
-
-func (p *proc) startAttempt() {
-	p.state = stRunning
-	p.opIdx = 0
-	p.txStart = p.sys.kernel.Now()
-	p.pendUseful = 0
-	p.pendMiss = 0
-	p.readSet.Reset()
-	p.lines = make(map[mem.Addr]*txLine, len(p.lines)+1)
-	p.order = p.order[:0]
-	p.step()
-}
-
-func (p *proc) step() {
-	if p.opIdx >= len(p.ops) {
-		p.beginCommit()
+	if code >= opGrantTID {
+		p.atHome(code, a1)
 		return
 	}
-	op := p.ops[p.opIdx]
-	switch op.Kind {
-	case workload.Compute:
-		p.opIdx++
-		p.pendUseful += uint64(op.Cycles)
-		p.sys.kernel.After(sim.Time(op.Cycles), p.guard(p.step))
-	case workload.Load:
-		p.doLoad(op.Addr)
-	case workload.Store:
+	if a1 != p.Epoch {
+		if code == opReadData {
+			p.sys.Recs.Free(a2)
+		}
+		return
+	}
+	switch code {
+	case opAbort:
+		p.abort(int(a2))
+	case opReadValid:
+		p.onReadValid()
+	case opReadData:
+		r := p.sys.Recs.At(a2)
+		p.onReadData(r.Base, r.Data, r.V)
+		p.sys.Recs.Free(a2)
+	case opWriteAck:
+		p.onWriteAck()
+	case opTID:
+		p.onTID(mem.Version(a2))
+	case opCommitAck:
+		p.pendingAcks--
+		if p.pendingAcks == 0 {
+			p.finishCommit()
+		}
+	default:
+		panic("eager: unknown processor event")
+	}
+}
+
+// StartAttempt begins (or retries) the transaction.
+func (p *proc) StartAttempt() {
+	p.BeginAttempt()
+	p.tx.Reset()
+	p.Step()
+}
+
+// Access performs the current load or store.
+func (p *proc) Access(op workload.Op) {
+	if op.Kind == workload.Store {
 		p.doStore(op.Addr)
+		return
 	}
-}
-
-// register returns (allocating if needed) the per-transaction state for a
-// line this transaction holds a registration on.
-func (p *proc) register(base mem.Addr) *txLine {
-	tl := p.lines[base]
-	if tl == nil {
-		tl = &txLine{}
-		p.lines[base] = tl
-		p.order = append(p.order, base)
-	}
-	return tl
-}
-
-// logRead records the first-read version of a word.
-func (p *proc) logRead(a mem.Addr, v mem.Version) {
-	if p.readSet.Add(a, v) && p.sys.obsv != nil {
-		p.sys.emit(obs.Event{Kind: obs.KRead, Node: p.id, Peer: -1, Addr: uint64(a), Arg: int64(v)})
-	}
-}
-
-// finishLocal completes an access served from local state.
-func (p *proc) finishLocal(base mem.Addr) {
-	lat := p.sys.cfg.L2Latency
-	if p.l1.Access(base) {
-		lat = p.sys.cfg.L1Latency
-	}
-	p.pendUseful++
-	if lat > 1 {
-		p.pendMiss += uint64(lat - 1)
-	}
-	p.opIdx++
-	p.sys.kernel.After(lat, p.guard(p.step))
+	p.doLoad(op.Addr)
 }
 
 // doLoad performs a transactional read. The first access of a line
 // registers this processor as a reader at the line's home; registration is
 // held until commit/abort, so later accesses of the line are local.
 func (p *proc) doLoad(a mem.Addr) {
-	g := p.sys.cfg.Geometry
+	g := p.sys.Cfg.Geometry
 	base := g.Line(a)
 	w := g.WordIndex(a)
-	tl := p.lines[base]
+	tl := p.tx.Get(base)
 	if tl != nil {
-		if tl.written.Has(w) {
+		if tl.Written.Has(w) {
 			// Own buffered write: excluded from the read log.
-			p.finishLocal(base)
+			p.Hit(base)
 			return
 		}
-		if tl.read {
-			if line := p.cache.Lookup(base); line != nil {
-				p.logRead(a, line.Data[w])
-				p.finishLocal(base)
+		if tl.Read {
+			if line := p.Cache.Lookup(base); line != nil {
+				p.LogRead(a, line.Data[w])
+				p.Hit(base)
 				return
 			}
 			// Registered but evicted: refetch (the home cannot conflict
@@ -223,193 +145,178 @@ func (p *proc) doLoad(a mem.Addr) {
 		// from an earlier transaction — fetch current data under the
 		// registration.
 	}
-	p.remoteRead(a, base, w)
+	p.remoteRead(base)
 }
 
 // remoteRead registers the read at the line's home; a registered foreign
-// writer NACKs it (requester loses).
-func (p *proc) remoteRead(a, base mem.Addr, w int) {
+// writer NACKs it (requester loses). The record carries the line and the
+// requester's cached version.
+func (p *proc) remoteRead(base mem.Addr) {
 	s := p.sys
-	p.state = stWaitRead
-	p.missStart = s.kernel.Now()
-	home := s.home(base, p.id)
-	cachedV, hasVer := p.lineVer[base]
-	valid := hasVer && p.cache.Peek(base) != nil
+	p.MissStart = s.Kernel.Now()
+	i, r := s.Recs.Alloc()
+	r.Home = s.Home(base, p.ID)
+	r.Base = base
+	r.V, r.OK = p.CurrentCopy(base)
+	p.ToHome(r.Home, msgHdr, mesh.ClassMiss, opRead, i)
+}
 
-	s.net.Send(p.id, home, msgHdr, mesh.ClassMiss, func() {
-		s.kernel.After(s.cfg.DirLatency, func() {
-			d := s.dir(home, base)
-			if d.writer >= 0 && d.writer != p.id {
-				s.nacksRead++
-				if s.obsv != nil {
-					s.emit(obs.Event{Kind: obs.KAbort, Node: home, Peer: p.id, Addr: uint64(base)})
-				}
-				s.net.Send(home, p.id, msgHdr, mesh.ClassMiss, p.guard(func() {
-					p.abort(abortReadConflict)
-				}))
-				return
-			}
-			d.readers[p.id] = struct{}{}
-			if s.obsv != nil {
-				s.emit(obs.Event{Kind: obs.KLoad, Node: home, Peer: p.id, Addr: uint64(base),
-					TID: uint64(d.version)})
-			}
-			if valid && cachedV == d.version {
-				// The requester's copy is current: registration-only reply.
-				s.net.Send(home, p.id, msgHdr, mesh.ClassMiss, p.guard(func() {
-					p.onReadValid(a, base, w)
-				}))
-				return
-			}
-			// Data reply, snapshotted with its version under the
-			// registration (no writer can intervene).
-			data := s.memory.ReadLine(base)
-			v := d.version
-			s.kernel.After(s.cfg.MemLatency, func() {
-				s.net.Send(home, p.id, msgHdr+s.cfg.Geometry.LineSize, mesh.ClassMiss, p.guard(func() {
-					p.onReadData(a, base, w, data, v)
-				}))
-			})
-		})
-	})
+// atHome runs a home-side step of one of this processor's requests.
+func (p *proc) atHome(code uint32, a1 uint64) {
+	s := p.sys
+	switch code {
+	case opGrantTID:
+		s.commitSeq++
+		t := s.commitSeq
+		if s.Obs != nil {
+			s.Emit(obs.Event{Kind: obs.KTIDGrant, Node: 0, Peer: p.ID, TID: uint64(t)})
+		}
+		p.Reply(0, msgHdr, mesh.ClassCommit, opTID, uint64(t))
+	case opRead:
+		p.homeRead(a1)
+	case opReadMem:
+		p.Reply(s.Recs.At(a1).Home, msgHdr+s.Cfg.Geometry.LineSize, mesh.ClassMiss, opReadData, a1)
+	case opWrite:
+		p.homeWrite(a1)
+	case opCommitHome:
+		p.homeCommit(a1)
+	case opRelease:
+		r := s.Recs.At(a1)
+		for _, base := range r.Bases {
+			p.unregister(s.dir(r.Home, base))
+		}
+		s.Recs.Free(a1)
+	default:
+		panic("eager: unknown home event")
+	}
+}
+
+// homeRead registers a reader at the line's home unless a foreign writer
+// holds it. A current cached copy is confirmed; otherwise the line data
+// follows after the memory access, snapshotted with its version under the
+// registration (no writer can intervene).
+func (p *proc) homeRead(i uint64) {
+	s := p.sys
+	r := s.Recs.At(i)
+	home, base := r.Home, r.Base
+	d := s.dir(home, base)
+	if d.writer >= 0 && d.writer != p.ID {
+		s.nacksRead++
+		if s.Obs != nil {
+			s.Emit(obs.Event{Kind: obs.KAbort, Node: home, Peer: p.ID, Addr: uint64(base)})
+		}
+		s.Recs.Free(i)
+		p.Reply(home, msgHdr, mesh.ClassMiss, opAbort, abortReadConflict)
+		return
+	}
+	d.readers[p.ID] = struct{}{}
+	if s.Obs != nil {
+		s.Emit(obs.Event{Kind: obs.KLoad, Node: home, Peer: p.ID, Addr: uint64(base),
+			TID: uint64(d.version)})
+	}
+	if r.OK && r.V == d.version {
+		// The requester's copy is current: registration-only reply.
+		s.Recs.Free(i)
+		p.Reply(home, msgHdr, mesh.ClassMiss, opReadValid, 0)
+		return
+	}
+	r.Data = append(r.Data, s.Memory.Line(base)...)
+	r.V = d.version
+	s.Kernel.PostAfter(s.Cfg.MemLatency, p, opReadMem, i, 0)
 }
 
 // onReadValid completes a first read whose cached copy was confirmed
 // current at registration time.
-func (p *proc) onReadValid(a, base mem.Addr, w int) {
-	p.register(base).read = true
-	line := p.cache.Lookup(base)
-	p.logRead(a, line.Data[w])
-	p.finishRemoteAccess(base)
+func (p *proc) onReadValid() {
+	g := p.sys.Cfg.Geometry
+	a := p.Ops[p.OpIdx].Addr
+	base := g.Line(a)
+	p.tx.Touch(base).Read = true
+	line := p.Cache.Lookup(base)
+	p.LogRead(a, line.Data[g.WordIndex(a)])
+	p.L1.Access(base)
+	p.Filled()
 }
 
 // onReadData installs arriving line data and completes the read.
-func (p *proc) onReadData(a, base mem.Addr, w int, data []mem.Version, v mem.Version) {
-	g := p.sys.cfg.Geometry
-	line := p.cache.Peek(base)
-	if line == nil {
-		var victim *cache.Victim
-		line, victim = p.cache.Insert(base, data)
-		if victim != nil {
-			if p.sys.obsv != nil {
-				p.sys.emit(obs.Event{Kind: obs.KOverflow, Node: p.id, Peer: -1, Addr: uint64(victim.Base)})
-			}
-			p.l1.Invalidate(victim.Base)
-			delete(p.lineVer, victim.Base)
-		}
-	} else {
-		copy(line.Data, data)
-	}
-	line.VW = bits.All(g.WordsPerLine())
-	p.lineVer[base] = v
-	p.register(base).read = true
-	if p.sys.obsv != nil {
-		p.sys.emit(obs.Event{Kind: obs.KFill, Node: p.id, Peer: -1, Addr: uint64(base), TID: uint64(v)})
-	}
-	p.logRead(a, line.Data[w])
-	p.finishRemoteAccess(base)
-}
-
-func (p *proc) finishRemoteAccess(base mem.Addr) {
-	p.l1.Access(base)
-	p.pendMiss += uint64(p.sys.kernel.Now() - p.missStart)
-	p.pendUseful++
-	p.opIdx++
-	p.state = stRunning
-	p.sys.kernel.After(1, p.guard(p.step))
+func (p *proc) onReadData(base mem.Addr, data []mem.Version, v mem.Version) {
+	g := p.sys.Cfg.Geometry
+	a := p.Ops[p.OpIdx].Addr
+	line := p.FillVersioned(base, data, v)
+	p.tx.Touch(base).Read = true
+	p.LogRead(a, line.Data[g.WordIndex(a)])
+	p.L1.Access(base)
+	p.Filled()
 }
 
 // doStore buffers the write locally once this processor is the line's
 // registered writer; the first store to a line requests write registration
 // at the home.
 func (p *proc) doStore(a mem.Addr) {
-	g := p.sys.cfg.Geometry
+	g := p.sys.Cfg.Geometry
 	base := g.Line(a)
-	w := g.WordIndex(a)
-	tl := p.lines[base]
-	if tl != nil && tl.write {
-		tl.written = tl.written.Set(w)
-		p.finishLocal(base)
+	tl := p.tx.Get(base)
+	if tl != nil && tl.Write {
+		tl.Written = tl.Written.Set(g.WordIndex(a))
+		p.Hit(base)
 		return
 	}
-	p.remoteWrite(base, w)
+	s := p.sys
+	p.MissStart = s.Kernel.Now()
+	i, r := s.Recs.Alloc()
+	r.Home = s.Home(base, p.ID)
+	r.Base = base
+	p.ToHome(r.Home, msgHdr, mesh.ClassCommit, opWrite, i)
 }
 
-// remoteWrite registers this processor as the line's writer; a foreign
+// homeWrite registers this processor as the line's writer; a foreign
 // writer or any foreign reader NACKs it (requester loses).
-func (p *proc) remoteWrite(base mem.Addr, w int) {
+func (p *proc) homeWrite(i uint64) {
 	s := p.sys
-	p.state = stWaitWrite
-	p.missStart = s.kernel.Now()
-	home := s.home(base, p.id)
-
-	s.net.Send(p.id, home, msgHdr, mesh.ClassCommit, func() {
-		s.kernel.After(s.cfg.DirLatency, func() {
-			d := s.dir(home, base)
-			if (d.writer >= 0 && d.writer != p.id) || d.readersOtherThan(p.id) {
-				s.nacksWrite++
-				if s.obsv != nil {
-					s.emit(obs.Event{Kind: obs.KAbort, Node: home, Peer: p.id, Addr: uint64(base),
-						Arg: 1})
-				}
-				s.net.Send(home, p.id, msgHdr, mesh.ClassCommit, p.guard(func() {
-					p.abort(abortWriteConflict)
-				}))
-				return
-			}
-			d.writer = p.id
-			if s.obsv != nil {
-				s.emit(obs.Event{Kind: obs.KMark, Node: home, Peer: p.id, Addr: uint64(base)})
-			}
-			s.net.Send(home, p.id, msgHdr, mesh.ClassCommit, p.guard(func() {
-				p.onWriteAck(base, w)
-			}))
-		})
-	})
-}
-
-func (p *proc) onWriteAck(base mem.Addr, w int) {
-	tl := p.register(base)
-	tl.write = true
-	tl.written = tl.written.Set(w)
-	p.finishRemoteAccess(base)
-}
-
-// groupByHome batches every registered line into one group per home,
-// preserving first-touch order for determinism.
-func (p *proc) groupByHome() []homeGroup {
-	var out []homeGroup
-	idx := make(map[int]int)
-	for _, base := range p.order {
-		home := p.sys.home(base, p.id)
-		gi, ok := idx[home]
-		if !ok {
-			gi = len(out)
-			idx[home] = gi
-			out = append(out, homeGroup{home: home})
+	r := s.Recs.At(i)
+	home, base := r.Home, r.Base
+	s.Recs.Free(i)
+	d := s.dir(home, base)
+	if (d.writer >= 0 && d.writer != p.ID) || d.readersOtherThan(p.ID) {
+		s.nacksWrite++
+		if s.Obs != nil {
+			s.Emit(obs.Event{Kind: obs.KAbort, Node: home, Peer: p.ID, Addr: uint64(base), Arg: 1})
 		}
-		out[gi].bases = append(out[gi].bases, base)
+		p.Reply(home, msgHdr, mesh.ClassCommit, opAbort, abortWriteConflict)
+		return
 	}
-	return out
+	d.writer = p.ID
+	if s.Obs != nil {
+		s.Emit(obs.Event{Kind: obs.KMark, Node: home, Peer: p.ID, Addr: uint64(base)})
+	}
+	p.Reply(home, msgHdr, mesh.ClassCommit, opWriteAck, 0)
 }
 
-// beginCommit takes a TID from the vendor at node 0. The TID is granted
-// while every registration is still held, so real-time commit order equals
-// TID order.
-func (p *proc) beginCommit() {
-	p.commitAt = p.sys.kernel.Now()
-	p.state = stWaitTID
-	s := p.sys
-	s.net.Send(p.id, 0, msgHdr, mesh.ClassCommit, func() {
-		s.commitSeq++
-		t := s.commitSeq
-		if s.obsv != nil {
-			s.emit(obs.Event{Kind: obs.KTIDGrant, Node: 0, Peer: p.id, TID: uint64(t)})
-		}
-		s.net.Send(0, p.id, msgHdr, mesh.ClassCommit, p.guard(func() {
-			p.onTID(t)
-		}))
-	})
+func (p *proc) onWriteAck() {
+	g := p.sys.Cfg.Geometry
+	a := p.Ops[p.OpIdx].Addr
+	base := g.Line(a)
+	tl := p.tx.Touch(base)
+	tl.Write = true
+	tl.Written = tl.Written.Set(g.WordIndex(a))
+	p.L1.Access(base)
+	p.Filled()
+}
+
+// unregister drops this processor's registrations on a line at its home.
+func (p *proc) unregister(d *lineDir) {
+	delete(d.readers, p.ID)
+	if d.writer == p.ID {
+		d.writer = -1
+	}
+}
+
+// Commit takes a TID from the vendor at node 0. The TID is granted while
+// every registration is still held, so real-time commit order equals TID
+// order.
+func (p *proc) Commit() {
+	p.commitAt = p.sys.Kernel.Now()
+	p.sys.Net.SendEvent(p.ID, 0, msgHdr, mesh.ClassCommit, p, opGrantTID, 0, 0)
 }
 
 // onTID writes the write-set back home (data tagged with the TID) and
@@ -417,131 +324,68 @@ func (p *proc) beginCommit() {
 // only after its commit is globally visible.
 func (p *proc) onTID(t mem.Version) {
 	s := p.sys
-	g := s.cfg.Geometry
+	g := s.Cfg.Geometry
 	p.tid = t
-	if s.obsv != nil {
-		s.emit(obs.Event{Kind: obs.KCommit, Node: p.id, Peer: -1, TID: uint64(t),
-			Arg: int64(p.readSet.Len())})
+	if s.Obs != nil {
+		s.Emit(obs.Event{Kind: obs.KCommit, Node: p.ID, Peer: -1, TID: uint64(t),
+			Arg: int64(p.ReadSet.Len())})
 	}
-	var record *verify.Record
-	if s.collectLog {
-		record = &verify.Record{
-			TID:    tid.TID(t),
-			Proc:   p.id,
-			Reads:  p.readSet.Map(),
-			Writes: make(map[mem.Addr]mem.Version),
-		}
-	}
-	groups := p.groupByHome()
-	p.state = stCommit
+	record := p.StartRecord(t)
+	groups := p.GroupByHome(&p.tx, nil)
 	p.pendingAcks = len(groups)
-	for gi := range groups {
-		grp := groups[gi]
+	for _, grp := range groups {
+		i, r := s.Recs.Alloc()
+		r.Home = grp.Home
+		r.V = t
 		bytes := msgHdr
-		masks := make([]bits.WordMask, len(grp.bases))
-		anyWrite := false
-		for i, base := range grp.bases {
-			masks[i] = p.lines[base].written
-			bytes += lineAddr + masks[i].Count()*g.WordSize
-			if masks[i].Any() {
-				anyWrite = true
-			}
-		}
 		class := mesh.ClassCommit
-		if anyWrite {
-			class = mesh.ClassWriteBack
-		}
-		home := grp.home
-		bases := grp.bases
-		s.net.Send(p.id, home, bytes, class, func() {
-			s.kernel.After(s.cfg.DirLatency, func() {
-				for i, base := range bases {
-					d := s.dir(home, base)
-					if masks[i].Any() {
-						data := make([]mem.Version, g.WordsPerLine())
-						for w := 0; w < g.WordsPerLine(); w++ {
-							if masks[i].Has(w) {
-								data[w] = t
-							}
-						}
-						s.memory.WriteWords(base, uint64(masks[i]), data)
-						d.version = t
-						if s.obsv != nil {
-							s.emit(obs.Event{Kind: obs.KCommitLine, Node: home, Peer: p.id,
-								TID: uint64(t), Addr: uint64(base), Words: uint64(masks[i])})
-						}
-					}
-					delete(d.readers, p.id)
-					if d.writer == p.id {
-						d.writer = -1
-					}
-				}
-				s.net.Send(home, p.id, msgHdr, mesh.ClassCommit, p.guard(p.onCommitAck))
-			})
-		})
-	}
-	// Update the local copies of written lines that were fetched this
-	// transaction: unwritten words still match memory, written words now
-	// carry the TID, so the copy is current at version t.
-	for _, base := range p.order {
-		tl := p.lines[base]
-		if !tl.written.Any() {
-			continue
-		}
-		if record != nil {
-			for w := 0; w < g.WordsPerLine(); w++ {
-				if tl.written.Has(w) {
-					record.Writes[g.WordAddr(base, w)] = t
-				}
+		for _, base := range grp.Bases {
+			w := p.tx.Get(base).Written
+			bytes += lineAddr + w.Count()*g.WordSize
+			if w.Any() {
+				class = mesh.ClassWriteBack
 			}
+			r.Bases = append(r.Bases, base)
+			r.Masks = append(r.Masks, w)
 		}
-		if line := p.cache.Peek(base); line != nil && tl.read {
-			for w := 0; w < g.WordsPerLine(); w++ {
-				if tl.written.Has(w) {
-					line.Data[w] = t
-				}
-			}
-			p.lineVer[base] = t
-		}
+		p.ToHome(grp.Home, bytes, class, opCommitHome, i)
 	}
-	if record != nil {
-		s.commitLog = append(s.commitLog, *record)
-	}
+	p.CommitLocal(&p.tx, record, t)
+	s.AppendRecord(record)
 	if p.pendingAcks == 0 {
 		p.finishCommit()
 	}
 }
 
-func (p *proc) onCommitAck() {
-	p.pendingAcks--
-	if p.pendingAcks == 0 {
-		p.finishCommit()
+// homeCommit applies a committed group at its home: written words take the
+// TID as their version, and every registration of the committer is
+// released.
+func (p *proc) homeCommit(i uint64) {
+	s := p.sys
+	r := s.Recs.At(i)
+	home, t := r.Home, r.V
+	for j, base := range r.Bases {
+		d := s.dir(home, base)
+		if mask := r.Masks[j]; mask.Any() {
+			s.WriteBack(base, mask, t)
+			d.version = t
+			if s.Obs != nil {
+				s.Emit(obs.Event{Kind: obs.KCommitLine, Node: home, Peer: p.ID,
+					TID: uint64(t), Addr: uint64(base), Words: uint64(mask)})
+			}
+		}
+		p.unregister(d)
 	}
+	s.Recs.Free(i)
+	p.Reply(home, msgHdr, mesh.ClassCommit, opCommitAck, 0)
 }
 
 func (p *proc) finishCommit() {
 	s := p.sys
-	if s.obsv != nil {
-		s.emit(obs.Event{Kind: obs.KCommitDone, Node: p.id, Peer: -1, TID: uint64(p.tid)})
+	if s.Obs != nil {
+		s.Emit(obs.Event{Kind: obs.KCommitDone, Node: p.ID, Peer: -1, TID: uint64(p.tid)})
 	}
-	var instr uint64
-	for _, op := range p.ops {
-		if op.Kind == workload.Compute {
-			instr += uint64(op.Cycles)
-		} else {
-			instr++
-		}
-	}
-	p.breakdown.Add(stats.Useful, p.pendUseful)
-	p.breakdown.Add(stats.CacheMiss, p.pendMiss)
-	p.breakdown.Add(stats.Commit, uint64(s.kernel.Now()-p.commitAt))
-	p.commits++
-	s.totalCommits++
-	s.committedInstr += instr
-
-	p.epoch++
-	p.txIdx++
-	s.kernel.After(1, p.beginTx)
+	p.Retire(uint64(s.Kernel.Now() - p.commitAt))
 }
 
 // abort releases every registration this attempt holds (fire-and-forget:
@@ -550,50 +394,12 @@ func (p *proc) finishCommit() {
 // exponential backoff.
 func (p *proc) abort(reason int) {
 	s := p.sys
-	s.totalViolations++
-	if s.obsv != nil {
-		s.emit(obs.Event{Kind: obs.KViolation, Node: p.id, Peer: -1, Arg: int64(reason)})
+	p.Violate(int64(reason))
+	for _, grp := range p.GroupByHome(&p.tx, nil) {
+		i, r := s.Recs.Alloc()
+		r.Home = grp.Home
+		r.Bases = append(r.Bases, grp.Bases...)
+		p.ToHome(grp.Home, msgHdr+lineAddr*len(grp.Bases), mesh.ClassCommit, opRelease, i)
 	}
-	for _, grp := range p.groupByHome() {
-		home := grp.home
-		bases := grp.bases
-		s.net.Send(p.id, home, msgHdr+lineAddr*len(bases), mesh.ClassCommit, func() {
-			s.kernel.After(s.cfg.DirLatency, func() {
-				for _, base := range bases {
-					d := s.dir(home, base)
-					delete(d.readers, p.id)
-					if d.writer == p.id {
-						d.writer = -1
-					}
-				}
-			})
-		})
-	}
-	p.breakdown.Add(stats.Violation, uint64(s.kernel.Now()-p.txStart))
-	p.epoch++
-	p.attempts++
-	shift := p.attempts - 1
-	if shift > 16 {
-		shift = 16
-	}
-	b := s.cfg.BackoffBase << uint(shift)
-	if b > s.cfg.BackoffMax {
-		b = s.cfg.BackoffMax
-	}
-	d := sim.Time(1 + p.rng.Intn(int(b)))
-	p.breakdown.Add(stats.Violation, uint64(d))
-	p.state = stBackoff
-	s.kernel.After(d, p.guard(p.startAttempt))
-}
-
-func (p *proc) onBarrierRelease() {
-	p.breakdown.Add(stats.Idle, uint64(p.sys.kernel.Now()-p.idleStart))
-	p.progPhase++
-	p.txIdx = 0
-	if p.progPhase >= p.sys.prog.Phases() {
-		p.state = stDone
-		p.sys.procDone()
-		return
-	}
-	p.beginTx()
+	p.RetryAfterBackoff(p.rng)
 }

@@ -193,44 +193,32 @@ type Job struct {
 	// ("tcc", "baseline", "tl2", "eager"); empty runs the scalable design
 	// directly (identical to "tcc").
 	Protocol string
-
-	// Baseline runs the bus-based small-scale TCC design instead of the
-	// scalable machine, with the historical DefaultBaselineConfig knobs.
-	// Prefer Protocol: "baseline" for new matrices.
-	Baseline bool
 }
 
 // protocol returns the job's effective registry name.
 func (j Job) protocol() string {
-	switch {
-	case j.Protocol != "":
+	if j.Protocol != "" {
 		return j.Protocol
-	case j.Baseline:
-		return "baseline"
 	}
 	return "tcc"
 }
 
-// RunResult is one executed Job; exactly one of Results/Baseline/Proto is
+// RunResult is one executed Job; exactly one of Results/Proto is
 // non-nil. Events holds per-kind protocol-event totals when
 // Options.CountEvents is set. Wall is the cell's wall-clock time, set only
 // by experiments that run their cells sequentially (the scaling study) —
 // under a parallel matrix, per-cell wall time measures scheduler contention,
 // not the cell.
 type RunResult struct {
-	Results  *tcc.Results
-	Baseline *tcc.BaselineResults
-	Proto    *tcc.ProtocolResults
-	Events   map[string]uint64
-	Wall     time.Duration
+	Results *tcc.Results
+	Proto   *tcc.ProtocolResults
+	Events  map[string]uint64
+	Wall    time.Duration
 }
 
 func (r RunResult) summary() tcc.Summary {
-	switch {
-	case r.Proto != nil:
+	if r.Proto != nil {
 		return r.Proto.Summary
-	case r.Baseline != nil:
-		return r.Baseline.Summary()
 	}
 	return r.Results.Summary()
 }
@@ -280,23 +268,6 @@ func (o Options) runJob(j Job) (RunResult, error) {
 			}
 		}
 		return RunResult{Proto: res, Events: events()}, nil
-	}
-	if j.Baseline {
-		bcfg := tcc.DefaultBaselineConfig(j.Procs)
-		bcfg.Seed = o.Seed
-		bcfg.MaxCycles = watchdogCycles
-		sys, err := tcc.NewBaselineSystem(bcfg, prof.Build(j.Procs, bcfg.Seed))
-		if err != nil {
-			return RunResult{}, fmt.Errorf("experiments: baseline %s on %d procs: %w", j.App, j.Procs, err)
-		}
-		if counter != nil {
-			sys.Observe(counter)
-		}
-		res, err := sys.Run()
-		if err != nil {
-			return RunResult{}, fmt.Errorf("experiments: baseline %s on %d procs: %w", j.App, j.Procs, err)
-		}
-		return RunResult{Baseline: res, Events: events()}, nil
 	}
 	cfg := tcc.DefaultConfig(j.Procs)
 	cfg.Seed = o.Seed

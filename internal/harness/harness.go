@@ -69,9 +69,9 @@ func Run[T any](cfg Config, n int, fn func(i int) (T, error)) ([]T, error) {
 	errs := make([]error, n)
 	var (
 		next   atomic.Int64
-		done   atomic.Int64
 		failed atomic.Bool
-		mu     sync.Mutex // serializes OnProgress
+		mu     sync.Mutex // serializes OnProgress and guards done
+		done   int
 		wg     sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
@@ -87,10 +87,12 @@ func Run[T any](cfg Config, n int, fn func(i int) (T, error)) ([]T, error) {
 				if errs[i] != nil {
 					failed.Store(true)
 				}
-				d := int(done.Add(1))
 				if cfg.OnProgress != nil {
+					// Count under the lock, so the reported counts
+					// arrive in order 1..n.
 					mu.Lock()
-					cfg.OnProgress(d, n)
+					done++
+					cfg.OnProgress(done, n)
 					mu.Unlock()
 				}
 			}

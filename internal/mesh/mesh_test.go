@@ -8,6 +8,18 @@ import (
 	"scalabletcc/internal/sim"
 )
 
+// calls is the handler the mesh tests deliver through: the message sent
+// with a1 = i runs the i-th registered function on arrival.
+type calls []func()
+
+func (c *calls) HandleEvent(code uint32, a1, a2 uint64) { (*c)[a1]() }
+
+// send sends a message that runs fn on arrival.
+func (c *calls) send(n *Network, src, dst, bytes int, class Class, fn func()) {
+	*c = append(*c, fn)
+	n.SendEvent(src, dst, bytes, class, c, 0, uint64(len(*c)-1), 0)
+}
+
 func testNet(nodes int, hop sim.Time) (*sim.Kernel, *Network) {
 	k := &sim.Kernel{}
 	cfg := DefaultConfig(nodes)
@@ -49,9 +61,10 @@ func TestHopsManhattan(t *testing.T) {
 
 func TestLatencyScalesWithDistance(t *testing.T) {
 	k, n := testNet(16, 3)
+	var rx calls
 	var tNear, tFar sim.Time
-	n.Send(0, 1, 8, ClassMiss, func() { tNear = k.Now() })
-	n.Send(0, 15, 8, ClassMiss, func() { tFar = k.Now() })
+	rx.send(n, 0, 1, 8, ClassMiss, func() { tNear = k.Now() })
+	rx.send(n, 0, 15, 8, ClassMiss, func() { tFar = k.Now() })
 	k.Run(0)
 	if tFar <= tNear {
 		t.Fatalf("far delivery (%d) not slower than near (%d)", tFar, tNear)
@@ -64,8 +77,9 @@ func TestLatencyScalesWithDistance(t *testing.T) {
 
 func TestLocalDelivery(t *testing.T) {
 	k, n := testNet(4, 3)
+	var rx calls
 	var at sim.Time
-	n.Send(2, 2, 100, ClassCommit, func() { at = k.Now() })
+	rx.send(n, 2, 2, 100, ClassCommit, func() { at = k.Now() })
 	k.Run(0)
 	if at != 1 {
 		t.Fatalf("local delivery at %d, want LocalLatency=1", at)
@@ -74,10 +88,11 @@ func TestLocalDelivery(t *testing.T) {
 
 func TestContentionSerializes(t *testing.T) {
 	k, n := testNet(4, 1)
+	var rx calls
 	// Two large messages over the same link: the second must queue.
 	var t1, t2 sim.Time
-	n.Send(0, 1, 64, ClassMiss, func() { t1 = k.Now() })
-	n.Send(0, 1, 64, ClassMiss, func() { t2 = k.Now() })
+	rx.send(n, 0, 1, 64, ClassMiss, func() { t1 = k.Now() })
+	rx.send(n, 0, 1, 64, ClassMiss, func() { t2 = k.Now() })
 	k.Run(0)
 	if t2 <= t1 {
 		t.Fatalf("second message (%d) not delayed behind first (%d)", t2, t1)
@@ -90,10 +105,11 @@ func TestContentionSerializes(t *testing.T) {
 
 func TestFIFOPerPair(t *testing.T) {
 	k, n := testNet(9, 2)
+	var rx calls
 	var order []int
 	for i := 0; i < 20; i++ {
 		idx := i
-		n.Send(0, 8, 16+idx%3*8, ClassCommit, func() { order = append(order, idx) })
+		rx.send(n, 0, 8, 16+idx%3*8, ClassCommit, func() { order = append(order, idx) })
 	}
 	k.Run(0)
 	for i := range order {
@@ -113,9 +129,10 @@ func TestJitterInjection(t *testing.T) {
 		return d
 	}
 	n := New(k, 4, cfg)
+	var rx calls
 	var order []int
-	n.Send(0, 3, 8, ClassMiss, func() { order = append(order, 0) })
-	n.Send(0, 3, 8, ClassMiss, func() { order = append(order, 1) })
+	rx.send(n, 0, 3, 8, ClassMiss, func() { order = append(order, 0) })
+	rx.send(n, 0, 3, 8, ClassMiss, func() { order = append(order, 1) })
 	k.Run(0)
 	if order[0] != 1 || order[1] != 0 {
 		t.Fatalf("jitter did not reorder: %v", order)
@@ -129,6 +146,7 @@ func TestJitterInjection(t *testing.T) {
 func runSeededTraffic(mk func(k *sim.Kernel) *Network, seed int64, msgs int) []sim.Time {
 	k := &sim.Kernel{}
 	n := mk(k)
+	var rx calls
 	r := rand.New(rand.NewSource(seed))
 	arrivals := make([]sim.Time, msgs)
 	for i := 0; i < msgs; i++ {
@@ -136,7 +154,7 @@ func runSeededTraffic(mk func(k *sim.Kernel) *Network, seed int64, msgs int) []s
 		src := r.Intn(16)
 		dst := r.Intn(16)
 		bytes := 8 + r.Intn(64)
-		n.Send(src, dst, bytes, ClassMiss, func() { arrivals[i] = k.Now() })
+		rx.send(n, src, dst, bytes, ClassMiss, func() { arrivals[i] = k.Now() })
 		// Interleave sends with partial drains so queued link state at
 		// send time varies, exercising contention paths too.
 		if r.Intn(4) == 0 {
@@ -197,10 +215,11 @@ func TestDeterminismTorusAndJitter(t *testing.T) {
 
 func TestTrafficAccounting(t *testing.T) {
 	k, n := testNet(4, 1)
-	n.Send(0, 1, 100, ClassMiss, func() {})
-	n.Send(1, 2, 50, ClassWriteBack, func() {})
-	n.Send(2, 0, 25, ClassCommit, func() {})
-	n.Multicast(3, []int{0, 1, 2}, 10, ClassCommit, func(int) {})
+	var rx calls
+	rx.send(n, 0, 1, 100, ClassMiss, func() {})
+	rx.send(n, 1, 2, 50, ClassWriteBack, func() {})
+	rx.send(n, 2, 0, 25, ClassCommit, func() {})
+	n.MulticastEvent(3, []int{0, 1, 2}, 10, ClassCommit, &countHandler{}, 0, 0)
 	k.Run(0)
 	s := n.Stats()
 	if s.BytesByClass[ClassMiss] != 100 {
@@ -240,6 +259,7 @@ func TestClassNames(t *testing.T) {
 func TestDeliveryProperty(t *testing.T) {
 	f := func(pairs []uint16) bool {
 		k, n := testNet(16, 2)
+		var rx calls
 		delivered := 0
 		type exp struct {
 			src, dst int
@@ -255,7 +275,7 @@ func TestDeliveryProperty(t *testing.T) {
 				minLat = 1
 			}
 			lo := k.Now() + minLat
-			n.Send(src, dst, 8, ClassMiss, func() {
+			rx.send(n, src, dst, 8, ClassMiss, func() {
 				delivered++
 				if k.Now() < lo {
 					panic("delivered too early")
@@ -275,8 +295,9 @@ func TestHopLatencySweepMonotonic(t *testing.T) {
 	var prev sim.Time
 	for _, hop := range []sim.Time{1, 2, 4, 8} {
 		k, n := testNet(16, hop)
+		var rx calls
 		var at sim.Time
-		n.Send(0, 15, 8, ClassMiss, func() { at = k.Now() })
+		rx.send(n, 0, 15, 8, ClassMiss, func() { at = k.Now() })
 		k.Run(0)
 		if at < prev {
 			t.Fatalf("hop=%d delivered at %d, faster than previous %d", hop, at, prev)
@@ -290,6 +311,7 @@ func TestTorusHalvesWorstCase(t *testing.T) {
 	cfg := DefaultConfig(16) // 4x4
 	cfg.Torus = true
 	n := New(k, 16, cfg)
+	var rx calls
 	// Corner to corner: 6 hops on a grid, 2 on a 4x4 torus (wrap both dims).
 	if got := n.Hops(0, 15); got != 2 {
 		t.Fatalf("torus Hops(0,15) = %d, want 2", got)
@@ -298,7 +320,7 @@ func TestTorusHalvesWorstCase(t *testing.T) {
 		t.Fatalf("torus Hops(0,3) = %d, want 1 (wraparound)", got)
 	}
 	var at sim.Time
-	n.Send(0, 15, 8, ClassMiss, func() { at = k.Now() })
+	rx.send(n, 0, 15, 8, ClassMiss, func() { at = k.Now() })
 	k.Run(0)
 	// 2 hops * 3 cycles + 1 cycle serialization = 7.
 	if at != 7 {
@@ -326,10 +348,11 @@ func TestTorusDeliveryProperty(t *testing.T) {
 		cfg := DefaultConfig(16)
 		cfg.Torus = true
 		n := New(k, 16, cfg)
+		var rx calls
 		delivered := 0
 		for _, p := range pairs {
 			src, dst := int(p%16), int(p/16%16)
-			n.Send(src, dst, 8, ClassMiss, func() { delivered++ })
+			rx.send(n, src, dst, 8, ClassMiss, func() { delivered++ })
 		}
 		k.Run(0)
 		return delivered == len(pairs)
@@ -343,46 +366,6 @@ func TestTorusDeliveryProperty(t *testing.T) {
 type countHandler struct{ n int }
 
 func (c *countHandler) HandleEvent(code uint32, a1, a2 uint64) { c.n++ }
-
-// TestSendEventMatchesSend pins the typed path to the closure path: same
-// message sequence, same delivery times.
-func TestSendEventMatchesSend(t *testing.T) {
-	script := []struct{ src, dst, bytes int }{
-		{0, 15, 8}, {3, 3, 64}, {12, 1, 40}, {0, 15, 8}, {7, 8, 16},
-	}
-	var closureTimes []sim.Time
-	{
-		k := &sim.Kernel{}
-		n := New(k, 16, DefaultConfig(16))
-		for _, m := range script {
-			n.Send(m.src, m.dst, m.bytes, ClassMiss, func() { closureTimes = append(closureTimes, k.Now()) })
-		}
-		k.Run(0)
-	}
-	var typedTimes []sim.Time
-	{
-		k := &sim.Kernel{}
-		n := New(k, 16, DefaultConfig(16))
-		h := &countHandler{}
-		for _, m := range script {
-			n.SendEvent(m.src, m.dst, m.bytes, ClassMiss, h, 0, 0, 0)
-			typedTimes = append(typedTimes, 0) // placeholder, filled below
-		}
-		i := 0
-		for k.Step() {
-			typedTimes[i] = k.Now()
-			i++
-		}
-		if h.n != len(script) {
-			t.Fatalf("delivered %d, want %d", h.n, len(script))
-		}
-	}
-	for i := range closureTimes {
-		if closureTimes[i] != typedTimes[i] {
-			t.Fatalf("delivery %d: closure at %d, typed at %d", i, closureTimes[i], typedTimes[i])
-		}
-	}
-}
 
 // TestMeshSteadyStateZeroAlloc pins the zero-allocation guarantee of typed
 // mesh delivery: routing, link accounting, and kernel scheduling must not
@@ -407,33 +390,38 @@ func TestMeshSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestMulticastEventOrder: typed multicast must deliver in the same order as
-// the closure form (per-destination sends in dsts order).
+// dstLog records the destination (a1) of each multicast delivery.
+type dstLog struct{ got []int }
+
+func (d *dstLog) HandleEvent(code uint32, a1, a2 uint64) { d.got = append(d.got, int(a1)) }
+
+// TestMulticastEventOrder: a multicast must deliver exactly as the
+// per-destination sends in dsts order would, each carrying its
+// destination in a1.
 func TestMulticastEventOrder(t *testing.T) {
 	dsts := []int{3, 7, 1, 12}
-	var closureOrder []int
+	var want []int
 	{
 		k := &sim.Kernel{}
 		n := New(k, 16, DefaultConfig(16))
-		n.Multicast(0, dsts, 16, ClassCommit, func(dst int) { closureOrder = append(closureOrder, dst) })
+		var rx calls
+		for _, dst := range dsts {
+			dst := dst
+			rx.send(n, 0, dst, 16, ClassCommit, func() { want = append(want, dst) })
+		}
 		k.Run(0)
 	}
-	var typedOrder []int
-	{
-		k := &sim.Kernel{}
-		n := New(k, 16, DefaultConfig(16))
-		var got []int
-		h := &mcast{deliver: func(dst int) { got = append(got, dst) }}
-		n.MulticastEvent(0, dsts, 16, ClassCommit, h, 0, 0)
-		k.Run(0)
-		typedOrder = got
+	k := &sim.Kernel{}
+	n := New(k, 16, DefaultConfig(16))
+	h := &dstLog{}
+	n.MulticastEvent(0, dsts, 16, ClassCommit, h, 0, 0)
+	k.Run(0)
+	if len(h.got) != len(want) {
+		t.Fatalf("delivered %v, want %v", h.got, want)
 	}
-	if len(closureOrder) != len(typedOrder) {
-		t.Fatalf("delivered %v vs %v", closureOrder, typedOrder)
-	}
-	for i := range closureOrder {
-		if closureOrder[i] != typedOrder[i] {
-			t.Fatalf("order %v vs %v", closureOrder, typedOrder)
+	for i := range want {
+		if h.got[i] != want[i] {
+			t.Fatalf("order %v, want %v", h.got, want)
 		}
 	}
 }
@@ -448,19 +436,6 @@ func BenchmarkMeshSendEvent(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n.SendEvent(i%16, (i+7)%16, 40, ClassMiss, h, 0, 0, 0)
-		k.Run(0)
-	}
-}
-
-// BenchmarkMeshSendClosure measures the closure shim for comparison.
-func BenchmarkMeshSendClosure(b *testing.B) {
-	k := &sim.Kernel{}
-	n := New(k, 16, DefaultConfig(16))
-	fn := func() {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n.Send(i%16, (i+7)%16, 40, ClassMiss, fn)
 		k.Run(0)
 	}
 }

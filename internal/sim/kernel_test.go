@@ -5,13 +5,26 @@ import (
 	"testing/quick"
 )
 
+// calls is the handler the kernel tests schedule through: the event with
+// a1 = i runs the i-th registered function.
+type calls []func()
+
+func (c *calls) HandleEvent(code uint32, a1, a2 uint64) { (*c)[a1]() }
+
+// at posts fn at absolute time t.
+func (c *calls) at(k *Kernel, t Time, fn func()) {
+	*c = append(*c, fn)
+	k.Post(t, c, 0, uint64(len(*c)-1), 0)
+}
+
 func TestKernelOrdering(t *testing.T) {
 	var k Kernel
+	var c calls
 	var got []int
-	k.At(10, func() { got = append(got, 1) })
-	k.At(5, func() { got = append(got, 0) })
-	k.At(10, func() { got = append(got, 2) }) // same time: schedule order
-	k.At(20, func() { got = append(got, 3) })
+	c.at(&k, 10, func() { got = append(got, 1) })
+	c.at(&k, 5, func() { got = append(got, 0) })
+	c.at(&k, 10, func() { got = append(got, 2) }) // same time: schedule order
+	c.at(&k, 20, func() { got = append(got, 3) })
 	if !k.Run(0) {
 		t.Fatal("Run did not drain")
 	}
@@ -31,10 +44,11 @@ func TestKernelOrdering(t *testing.T) {
 
 func TestKernelAfterNesting(t *testing.T) {
 	var k Kernel
+	var c calls
 	var times []Time
-	k.At(3, func() {
+	c.at(&k, 3, func() {
 		times = append(times, k.Now())
-		k.After(7, func() { times = append(times, k.Now()) })
+		c.at(&k, k.Now()+7, func() { times = append(times, k.Now()) })
 	})
 	k.Run(0)
 	if len(times) != 2 || times[0] != 3 || times[1] != 10 {
@@ -44,22 +58,24 @@ func TestKernelAfterNesting(t *testing.T) {
 
 func TestKernelPastSchedulingPanics(t *testing.T) {
 	var k Kernel
-	k.At(10, func() {
+	var c calls
+	c.at(&k, 10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		k.At(5, func() {})
+		c.at(&k, 5, func() {})
 	})
 	k.Run(0)
 }
 
 func TestKernelRunLimit(t *testing.T) {
 	var k Kernel
+	var c calls
 	n := 0
 	for i := 0; i < 10; i++ {
-		k.At(Time(i), func() { n++ })
+		c.at(&k, Time(i), func() { n++ })
 	}
 	if k.Run(4) {
 		t.Fatal("Run(4) claimed to drain")
@@ -77,10 +93,11 @@ func TestKernelRunLimit(t *testing.T) {
 
 func TestKernelRunUntil(t *testing.T) {
 	var k Kernel
+	var c calls
 	var fired []Time
 	for _, ti := range []Time{5, 10, 15, 20} {
 		tt := ti
-		k.At(tt, func() { fired = append(fired, tt) })
+		c.at(&k, tt, func() { fired = append(fired, tt) })
 	}
 	if k.RunUntil(12) {
 		t.Fatal("RunUntil(12) claimed to drain")
@@ -111,10 +128,10 @@ func TestKernelStepEmpty(t *testing.T) {
 func TestKernelMonotonicProperty(t *testing.T) {
 	f := func(delays []uint16) bool {
 		var k Kernel
+		var c calls
 		var times []Time
 		for _, d := range delays {
-			at := Time(d)
-			k.At(at, func() { times = append(times, k.Now()) })
+			c.at(&k, Time(d), func() { times = append(times, k.Now()) })
 		}
 		k.Run(0)
 		for i := 1; i < len(times); i++ {

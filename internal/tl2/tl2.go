@@ -29,108 +29,28 @@
 package tl2
 
 import (
-	"fmt"
-	"sort"
-
+	"scalabletcc/internal/machine"
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/mesh"
-	"scalabletcc/internal/obs"
-	"scalabletcc/internal/sim"
 	"scalabletcc/internal/stats"
-	"scalabletcc/internal/verify"
 	"scalabletcc/internal/workload"
 )
 
-// Config parameterizes the TL2 machine. The node parameters match the
-// scalable design so only the protocol differs.
-type Config struct {
-	Procs    int
-	Geometry mem.Geometry
-	Mesh     mesh.Config
-
-	L1Size, L1Ways int
-	L1Latency      sim.Time
-	L2Size, L2Ways int
-	L2Latency      sim.Time
-
-	// DirLatency is the metadata (timestamp/lock table) access latency at a
-	// line's home; MemLatency is charged when a reply must carry line data.
-	DirLatency sim.Time
-	MemLatency sim.Time
-
-	// BackoffBase/BackoffMax bound the randomized exponential backoff an
-	// aborted transaction waits before retrying.
-	BackoffBase sim.Time
-	BackoffMax  sim.Time
-
-	Seed      uint64
-	MaxCycles sim.Time
-}
-
-// DefaultConfig mirrors core.DefaultConfig's node parameters with the STM
-// metadata latencies on top.
-func DefaultConfig(procs int) Config {
-	return Config{
-		Procs:       procs,
-		Geometry:    mem.DefaultGeometry(),
-		Mesh:        mesh.DefaultConfig(procs),
-		L1Size:      32 << 10,
-		L1Ways:      4,
-		L1Latency:   1,
-		L2Size:      512 << 10,
-		L2Ways:      8,
-		L2Latency:   6,
-		DirLatency:  10,
-		MemLatency:  100,
-		BackoffBase: 16,
-		BackoffMax:  4096,
-		Seed:        1,
-	}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.Procs <= 0 {
-		return fmt.Errorf("tl2: Config.Procs must be positive, got %d", c.Procs)
-	}
-	if c.BackoffBase <= 0 {
-		return fmt.Errorf("tl2: Config.BackoffBase must be positive, got %d", c.BackoffBase)
-	}
-	if c.BackoffMax < c.BackoffBase {
-		return fmt.Errorf("tl2: Config.BackoffMax must be at least BackoffBase, got %d < %d",
-			c.BackoffMax, c.BackoffBase)
-	}
-	return c.Geometry.Validate()
-}
-
-// Results summarizes a TL2 run.
+// Results summarizes a TL2 run. Violations counts aborted attempts: lock,
+// validation, and read NACKs.
 type Results struct {
-	Cycles     sim.Time
-	Breakdown  stats.Breakdown
-	Commits    uint64
-	Violations uint64 // aborted attempts (lock, validation, and read NACKs)
-	Instr      uint64
+	machine.Totals
 
 	// ClockReads/ClockAdvances count round trips to the global version
 	// clock: one read per attempt, one increment per commit.
 	ClockReads    uint64
 	ClockAdvances uint64
 
-	Traffic   mesh.Stats
-	CommitLog []verify.Record
+	Traffic mesh.Stats
 }
 
 // Summary returns the machine-independent digest (tcc.Summarizer).
-func (r *Results) Summary() stats.Summary {
-	return stats.Summary{
-		Protocol:     "tl2",
-		Cycles:       uint64(r.Cycles),
-		Instructions: r.Instr,
-		Commits:      r.Commits,
-		Violations:   r.Violations,
-		Breakdown:    r.Breakdown,
-	}
-}
+func (r *Results) Summary() stats.Summary { return r.Totals.Summary("tl2") }
 
 // lineMeta is one line's STM metadata at its home: the timestamp of the
 // last committed writer and the commit-time write lock.
@@ -141,77 +61,29 @@ type lineMeta struct {
 
 // System is the assembled TL2 machine.
 type System struct {
-	cfg    Config
-	kernel *sim.Kernel
-	net    *mesh.Network
-	prog   workload.Program
-
-	procs  []*proc
-	memmap *mem.Map
-	memory *mem.Memory
-	dirs   []map[mem.Addr]*lineMeta
+	*machine.Machine
+	dirs []map[mem.Addr]*lineMeta
 
 	clock         mem.Version // the global version clock, hosted at node 0
 	clockReads    uint64
 	clockAdvances uint64
-
-	collectLog bool
-	commitLog  []verify.Record
-	obsv       obs.Observer
-
-	barrierCount int
-	running      int
-
-	totalCommits    uint64
-	totalViolations uint64
-	committedInstr  uint64
 }
 
 // NewSystem builds a TL2 machine for prog.
-func NewSystem(cfg Config, prog workload.Program) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+func NewSystem(cfg machine.Config, prog workload.Program) (*System, error) {
+	m, err := machine.New("tl2", cfg, prog)
+	if err != nil {
 		return nil, err
 	}
-	if prog.Procs() != cfg.Procs {
-		return nil, fmt.Errorf("tl2: program built for %d procs, config has %d", prog.Procs(), cfg.Procs)
-	}
-	k := &sim.Kernel{}
-	s := &System{
-		cfg:    cfg,
-		kernel: k,
-		net:    mesh.New(k, cfg.Procs, cfg.Mesh),
-		prog:   prog,
-		memmap: mem.NewMap(cfg.Geometry, cfg.Procs),
-		memory: mem.NewMemory(cfg.Geometry),
-		dirs:   make([]map[mem.Addr]*lineMeta, cfg.Procs),
-	}
+	m.UseMesh()
+	s := &System{Machine: m, dirs: make([]map[mem.Addr]*lineMeta, cfg.Procs)}
 	for i := range s.dirs {
 		s.dirs[i] = make(map[mem.Addr]*lineMeta)
 	}
-	prog.PreMap(s.memmap)
 	for i := 0; i < cfg.Procs; i++ {
-		s.procs = append(s.procs, newProc(s, i))
+		newProc(s, i)
 	}
 	return s, nil
-}
-
-// CollectCommitLog enables serializability logging.
-func (s *System) CollectCommitLog(on bool) { s.collectLog = on }
-
-// Observe attaches a protocol-event observer (nil detaches). Must be called
-// before Run; observation is passive.
-func (s *System) Observe(o obs.Observer) { s.obsv = o }
-
-// emit stamps the current cycle on e and hands it to the observer. Callers
-// nil-check s.obsv first.
-func (s *System) emit(e obs.Event) {
-	e.Cycle = uint64(s.kernel.Now())
-	s.obsv.Event(e)
-}
-
-// home returns the line's home node under first-touch mapping.
-func (s *System) home(base mem.Addr, toucher int) int {
-	return s.memmap.Home(base, toucher)
 }
 
 // meta returns (allocating if needed) the line's metadata entry at home.
@@ -224,74 +96,15 @@ func (s *System) meta(home int, base mem.Addr) *lineMeta {
 	return m
 }
 
-// barrier synchronizes phases.
-func (s *System) barrierArrive() {
-	s.barrierCount++
-	if s.barrierCount < s.cfg.Procs {
-		return
-	}
-	s.barrierCount = 0
-	for _, p := range s.procs {
-		pp := p
-		s.kernel.After(1, pp.onBarrierRelease)
-	}
-}
-
-func (s *System) procDone() { s.running-- }
-
 // Run executes the program to completion.
 func (s *System) Run() (*Results, error) {
-	s.running = s.cfg.Procs
-	for _, p := range s.procs {
-		pp := p
-		s.kernel.At(0, pp.start)
+	if err := s.Simulate(); err != nil {
+		return nil, err
 	}
-	for s.kernel.Pending() > 0 {
-		if s.cfg.MaxCycles > 0 && s.kernel.Now() > s.cfg.MaxCycles {
-			return nil, fmt.Errorf("tl2: watchdog expired at cycle %d", s.kernel.Now())
-		}
-		s.kernel.StepCycle()
-	}
-	if s.running != 0 {
-		return nil, fmt.Errorf("tl2: deadlock with %d processors unfinished", s.running)
-	}
-	r := &Results{
-		Cycles:        s.kernel.Now(),
-		Commits:       s.totalCommits,
-		Violations:    s.totalViolations,
-		Instr:         s.committedInstr,
+	return &Results{
+		Totals:        s.Totals(),
 		ClockReads:    s.clockReads,
 		ClockAdvances: s.clockAdvances,
-		Traffic:       s.net.Stats(),
-		CommitLog:     s.commitLog,
-	}
-	for _, p := range s.procs {
-		r.Breakdown = r.Breakdown.Plus(p.breakdown)
-	}
-	return r, nil
-}
-
-// AuditFinalMemory cross-checks memory against the TID-serial replay of the
-// commit log: every word the replay says was written must hold that version
-// in the memory banks (TL2 write-backs are write-through at commit, so no
-// committed state may linger in caches). Requires CollectCommitLog.
-func (s *System) AuditFinalMemory() error {
-	if !s.collectLog {
-		return fmt.Errorf("tl2: AuditFinalMemory requires CollectCommitLog")
-	}
-	ideal := verify.FinalMemory(s.commitLog)
-	addrs := make([]mem.Addr, 0, len(ideal))
-	for a := range ideal {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	g := s.cfg.Geometry
-	for _, a := range addrs {
-		got := s.memory.Line(g.Line(a))[g.WordIndex(a)]
-		if got != ideal[a] {
-			return fmt.Errorf("tl2: final memory mismatch at %#x: memory has version %d, replay requires %d",
-				uint64(a), uint64(got), uint64(ideal[a]))
-		}
-	}
-	return nil
+		Traffic:       s.Net.Stats(),
+	}, nil
 }

@@ -10,8 +10,13 @@ BENCH_shard.json (sequential vs epoch-parallel kernel), and BENCH_soa.json
 last, so it supersedes same-named entries), falling back to the `after`
 block of BENCH_hotpath.json. Fails on
 
-  * ns/op more than THRESHOLD (default 15%) above the baseline, or
-  * any allocation on the zero-alloc hot paths (kernel post/step, mesh send).
+  * ns/op more than THRESHOLD (default 15%) above the baseline,
+  * any allocation on the zero-alloc hot paths (kernel post/step, mesh send),
+    or
+  * a per-protocol simulator run (BenchmarkProtocols/*) allocating more than
+    ALLOC_THRESHOLD (15%) above its recorded allocs_op. Allocation counts do
+    not depend on the host, so this check holds on any runner and is not
+    widened by BENCH_GATE_THRESHOLD.
 
 Run -count=3 (or more) and let the gate take the min: single bench samples
 on shared CI runners are noisy, minima are stable. Cross-host ns/op
@@ -29,6 +34,8 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THRESHOLD = float(os.environ.get("BENCH_GATE_THRESHOLD", "0.15"))
 ZERO_ALLOC = {"BenchmarkKernelPostStep", "BenchmarkMeshSendEvent"}
+ALLOC_THRESHOLD = 0.15
+ALLOC_GATED = re.compile(r"^BenchmarkProtocols/")
 
 # `BenchmarkName-8   123  456 ns/op  ... 0 allocs/op` (GOMAXPROCS suffix and
 # allocs column optional; sub-benchmark names keep their slash, e.g.
@@ -48,9 +55,10 @@ def load_baselines():
     malformed file would turn the gate into a no-op that reports every
     benchmark as "informational" and passes. Only BENCH_hotpath.json (a
     superseded earlier baseline) is optional, and even it must parse if
-    present. Later files win where names collide.
+    present. Later files win where names collide. Returns the ns/op
+    baselines and the recorded allocs_op, each as {bench: (value, file)}.
     """
-    base = {}
+    base, alloc_base = {}, {}
     for name, required in (
         ("BENCH_hotpath.json", False),
         ("BENCH_wheel.json", True),
@@ -79,10 +87,12 @@ def load_baselines():
         for bench, rec in after.items():
             if isinstance(rec, dict) and "ns_op" in rec:
                 base[bench] = (float(rec["ns_op"]), name)
+                if "allocs_op" in rec:
+                    alloc_base[bench] = (int(rec["allocs_op"]), name)
                 loaded += 1
         if required and loaded == 0:
             sys.exit(f"bench_gate: baseline {name} contains no usable benchmark records")
-    return base
+    return base, alloc_base
 
 
 def parse(paths):
@@ -104,7 +114,7 @@ def parse(paths):
 def main():
     if len(sys.argv) < 2:
         sys.exit("usage: bench_gate.py BENCH_OUTPUT_FILE...")
-    baselines = load_baselines()
+    baselines, alloc_baselines = load_baselines()
     ns, allocs = parse(sys.argv[1:])
     if not ns:
         sys.exit("bench_gate: no benchmark lines found in input")
@@ -133,6 +143,20 @@ def main():
                 failed = True
             else:
                 print(f"{bench}: 0 allocs/op — ok")
+        if ALLOC_GATED.match(bench) and bench in alloc_baselines:
+            want, src = alloc_baselines[bench]
+            limit = want * (1 + ALLOC_THRESHOLD)
+            a = allocs.get(bench)
+            if a is None:
+                print(f"{bench}: missing allocs/op column (run with -benchmem)")
+                failed = True
+            else:
+                verdict = "ok" if a <= limit else "ALLOCATION REGRESSION"
+                print(
+                    f"{bench}: {a} allocs/op vs {want} recorded in {src} "
+                    f"(limit {limit:.0f}, {ALLOC_THRESHOLD:.0%} headroom) — {verdict}"
+                )
+                failed |= a > limit
     sys.exit(1 if failed else 0)
 
 

@@ -124,7 +124,7 @@ func validateRunSpec(r *RunSpec) error {
 			return fmt.Errorf("tcc: checkpointing and sampling are mutually exclusive (the sampler's phase is not part of the snapshot)")
 		}
 	}
-	return runConfig(r).Validate()
+	return validateFor(protocol, runConfig(r))
 }
 
 // ExecuteJob is the canonical runner.Executor: it dispatches on the spec's

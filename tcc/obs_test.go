@@ -209,30 +209,32 @@ func TestSamplerNeedsSampleObserver(t *testing.T) {
 }
 
 // TestBaselineObserve: the baseline machine's event stream reconciles with
-// its results, and NewBaselineSystem matches RunBaseline exactly.
+// its results, and an observed run matches an unobserved RunProtocol
+// exactly.
 func TestBaselineObserve(t *testing.T) {
-	cfg := DefaultBaselineConfig(4)
+	cfg := DefaultConfig(4)
 	prog := obsProgram(4)
 
-	one, err := RunBaseline(cfg, prog)
+	one, err := RunProtocol("baseline", cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	sys, err := NewBaselineSystem(cfg, prog)
+	sys, err := NewSystemFor("baseline", cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := NewCountingObserver()
 	sys.Observe(c)
-	two, err := sys.Run()
+	out, err := sys.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
+	two := out.Baseline
 
-	if one.Cycles != two.Cycles || one.Commits != two.Commits {
-		t.Fatalf("NewBaselineSystem diverges from RunBaseline: %d/%d vs %d/%d",
-			one.Cycles, one.Commits, two.Cycles, two.Commits)
+	if one.Summary.Cycles != uint64(two.Cycles) || one.Summary.Commits != two.Commits {
+		t.Fatalf("observed baseline run diverges from RunProtocol: %d/%d vs %d/%d",
+			one.Summary.Cycles, one.Summary.Commits, two.Cycles, two.Commits)
 	}
 	if c.Count(EvCommit) != two.Commits {
 		t.Errorf("baseline Commit events = %d, want %d", c.Count(EvCommit), two.Commits)
@@ -245,18 +247,20 @@ func TestBaselineObserve(t *testing.T) {
 	}
 }
 
-// TestBaselineConfigValidate: the new Validate mirrors Config.Validate.
+// TestBaselineConfigValidate: the baseline protocol validates the unified
+// Config like every other protocol, including the bus bandwidth it derives
+// from the link width.
 func TestBaselineConfigValidate(t *testing.T) {
-	if err := DefaultBaselineConfig(4).Validate(); err != nil {
-		t.Fatalf("default baseline config invalid: %v", err)
+	prog := obsProgram(4)
+	if _, err := NewSystemFor("baseline", DefaultConfig(4), prog); err != nil {
+		t.Fatalf("default config rejected: %v", err)
 	}
-	var zero BaselineConfig
-	if zero.Validate() == nil {
-		t.Fatal("zero BaselineConfig validated")
+	if _, err := NewSystemFor("baseline", Config{}, prog); err == nil {
+		t.Fatal("zero Config accepted")
 	}
-	bad := DefaultBaselineConfig(4)
-	bad.BusBytesPerCycle = 0
-	if bad.Validate() == nil {
-		t.Fatal("zero-bandwidth baseline config validated")
+	bad := DefaultConfig(4)
+	bad.LinkBytesPerCycle = 0
+	if _, err := NewSystemFor("baseline", bad, prog); err == nil {
+		t.Fatal("zero-bandwidth config accepted")
 	}
 }

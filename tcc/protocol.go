@@ -11,7 +11,9 @@ import (
 	"fmt"
 	"strings"
 
+	"scalabletcc/internal/baseline"
 	"scalabletcc/internal/eager"
+	"scalabletcc/internal/machine"
 	"scalabletcc/internal/sim"
 	"scalabletcc/internal/tl2"
 	"scalabletcc/internal/verify"
@@ -88,7 +90,7 @@ var protocolRegistry = []protocolEntry{
 			Detection:   "lazy",
 			Description: "small-scale TCC: single commit token, write-through broadcast bus",
 		},
-		build: buildBaselineProto,
+		build: buildBaseline,
 	},
 	{
 		info: ProtocolInfo{
@@ -220,154 +222,97 @@ func (p *protoScalable) EnableConflictProfiler() *ConflictProfiler {
 	return p.sys.EnableConflictProfiler()
 }
 
-// rejectShards reports the sharded-engine request as unsupported for the
-// named protocol. Only the scalable directory machine runs on the
-// epoch-parallel executor; the other models would silently drop the knob,
-// and a knob that silently does nothing is worse than an error.
-func rejectShards(protocol string, cfg Config) error {
+// validateFor checks cfg for the named protocol with the `<protocol>:
+// Config.<Field>` error shape. Every protocol checks the shared node
+// configuration; the tcc protocol adds its own checks (compile), and only
+// it runs on the sharded engine — the other models would silently drop the
+// knob, and a knob that silently does nothing is worse than an error.
+func validateFor(protocol string, cfg Config) error {
+	if protocol == "tcc" {
+		return cfg.Validate()
+	}
 	if cfg.Shards != 0 {
 		return fmt.Errorf("%s: Config.Shards is only supported by the tcc protocol, got %d",
 			protocol, cfg.Shards)
 	}
-	return nil
+	return cfg.node().Validate(protocol)
 }
+
+// rival adapts a rival machine model to ProtocolSystem: observation and
+// the final-memory audit come from the shared substrate, run from the
+// model.
+type rival struct {
+	*machine.Machine
+	run func() (*ProtocolResults, error)
+}
+
+func (r *rival) Run() (*ProtocolResults, error) { return r.run() }
 
 // --- baseline (bus-based small-scale TCC) ---
 
-type protoBaseline struct{ sys *BaselineSystem }
-
-// baselineFromConfig derives the bus machine from the unified Config: the
-// ordered bus gets the bandwidth of two mesh links (matching the historical
-// DefaultBaselineConfig default of 16 B/cycle at the default link width).
-func baselineFromConfig(c Config) BaselineConfig {
-	return BaselineConfig{
-		Procs:            c.Procs,
-		BusBytesPerCycle: 2 * c.LinkBytesPerCycle,
-		MemLatency:       c.MemLatency,
-		LineGranularity:  c.LineGranularity,
-		Seed:             c.Seed,
-		MaxCycles:        c.MaxCycles,
-		CollectCommitLog: c.CollectCommitLog,
-	}
-}
-
-func buildBaselineProto(cfg Config, prog Program) (ProtocolSystem, error) {
-	if err := rejectShards("baseline", cfg); err != nil {
+// buildBaseline derives the bus machine from the unified Config: the
+// ordered bus gets the bandwidth of two mesh links (16 B/cycle at the
+// default link width); the caches keep the Table 2 node.
+func buildBaseline(cfg Config, prog Program) (ProtocolSystem, error) {
+	if err := validateFor("baseline", cfg); err != nil {
 		return nil, err
 	}
-	sys, err := NewBaselineSystem(baselineFromConfig(cfg), prog)
+	bc := baseline.DefaultConfig(cfg.Procs)
+	bc.BusBytesPerCycle = 2 * cfg.LinkBytesPerCycle
+	bc.MemLatency = sim.Time(cfg.MemLatency)
+	bc.LineGranularity = cfg.LineGranularity
+	bc.Seed = cfg.Seed
+	bc.MaxCycles = sim.Time(cfg.MaxCycles)
+	sys, err := baseline.NewSystem(bc, prog)
 	if err != nil {
 		return nil, err
 	}
-	return &protoBaseline{sys: sys}, nil
+	sys.CollectCommitLog(cfg.CollectCommitLog)
+	return &rival{Machine: sys.Machine, run: func() (*ProtocolResults, error) {
+		res, err := sys.Run()
+		if err != nil {
+			return nil, err
+		}
+		return &ProtocolResults{Protocol: "baseline", Summary: res.Summary(), CommitLog: res.CommitLog, Baseline: res}, nil
+	}}, nil
 }
-
-func (p *protoBaseline) Run() (*ProtocolResults, error) {
-	res, err := p.sys.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &ProtocolResults{
-		Protocol:  "baseline",
-		Summary:   res.Summary(),
-		CommitLog: res.CommitLog,
-		Baseline:  res,
-	}, nil
-}
-
-func (p *protoBaseline) Observe(o Observer)      { p.sys.Observe(o) }
-func (p *protoBaseline) AuditFinalMemory() error { return p.sys.inner.AuditFinalMemory() }
 
 // --- tl2 (lazy STM) ---
 
-type protoTL2 struct{ sys *tl2.System }
-
-func tl2FromConfig(c Config) tl2.Config {
-	tc := tl2.DefaultConfig(c.Procs)
-	tc.Geometry.LineSize = c.LineSize
-	tc.L1Size, tc.L1Ways = c.L1Size, c.L1Ways
-	tc.L2Size, tc.L2Ways = c.L2Size, c.L2Ways
-	tc.Mesh.HopLatency = sim.Time(c.HopLatency)
-	tc.Mesh.LinkBytes = c.LinkBytesPerCycle
-	tc.Mesh.Torus = c.Torus
-	tc.MemLatency = sim.Time(c.MemLatency)
-	tc.DirLatency = sim.Time(c.DirLatency)
-	tc.Seed = c.Seed
-	tc.MaxCycles = sim.Time(c.MaxCycles)
-	return tc
-}
-
 func buildTL2(cfg Config, prog Program) (ProtocolSystem, error) {
-	if err := rejectShards("tl2", cfg); err != nil {
+	if err := validateFor("tl2", cfg); err != nil {
 		return nil, err
 	}
-	sys, err := tl2.NewSystem(tl2FromConfig(cfg), prog)
+	sys, err := tl2.NewSystem(cfg.node(), prog)
 	if err != nil {
 		return nil, err
 	}
 	sys.CollectCommitLog(cfg.CollectCommitLog)
-	return &protoTL2{sys: sys}, nil
+	return &rival{Machine: sys.Machine, run: func() (*ProtocolResults, error) {
+		res, err := sys.Run()
+		if err != nil {
+			return nil, err
+		}
+		return &ProtocolResults{Protocol: "tl2", Summary: res.Summary(), CommitLog: res.CommitLog, TL2: res}, nil
+	}}, nil
 }
-
-func (p *protoTL2) Run() (*ProtocolResults, error) {
-	res, err := p.sys.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &ProtocolResults{
-		Protocol:  "tl2",
-		Summary:   res.Summary(),
-		CommitLog: res.CommitLog,
-		TL2:       res,
-	}, nil
-}
-
-func (p *protoTL2) Observe(o Observer)      { p.sys.Observe(o) }
-func (p *protoTL2) AuditFinalMemory() error { return p.sys.AuditFinalMemory() }
 
 // --- eager (eager-detection HTM) ---
 
-type protoEager struct{ sys *eager.System }
-
-func eagerFromConfig(c Config) eager.Config {
-	ec := eager.DefaultConfig(c.Procs)
-	ec.Geometry.LineSize = c.LineSize
-	ec.L1Size, ec.L1Ways = c.L1Size, c.L1Ways
-	ec.L2Size, ec.L2Ways = c.L2Size, c.L2Ways
-	ec.Mesh.HopLatency = sim.Time(c.HopLatency)
-	ec.Mesh.LinkBytes = c.LinkBytesPerCycle
-	ec.Mesh.Torus = c.Torus
-	ec.MemLatency = sim.Time(c.MemLatency)
-	ec.DirLatency = sim.Time(c.DirLatency)
-	ec.Seed = c.Seed
-	ec.MaxCycles = sim.Time(c.MaxCycles)
-	return ec
-}
-
 func buildEager(cfg Config, prog Program) (ProtocolSystem, error) {
-	if err := rejectShards("eager", cfg); err != nil {
+	if err := validateFor("eager", cfg); err != nil {
 		return nil, err
 	}
-	sys, err := eager.NewSystem(eagerFromConfig(cfg), prog)
+	sys, err := eager.NewSystem(cfg.node(), prog)
 	if err != nil {
 		return nil, err
 	}
 	sys.CollectCommitLog(cfg.CollectCommitLog)
-	return &protoEager{sys: sys}, nil
+	return &rival{Machine: sys.Machine, run: func() (*ProtocolResults, error) {
+		res, err := sys.Run()
+		if err != nil {
+			return nil, err
+		}
+		return &ProtocolResults{Protocol: "eager", Summary: res.Summary(), CommitLog: res.CommitLog, Eager: res}, nil
+	}}, nil
 }
-
-func (p *protoEager) Run() (*ProtocolResults, error) {
-	res, err := p.sys.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &ProtocolResults{
-		Protocol:  "eager",
-		Summary:   res.Summary(),
-		CommitLog: res.CommitLog,
-		Eager:     res,
-	}, nil
-}
-
-func (p *protoEager) Observe(o Observer)      { p.sys.Observe(o) }
-func (p *protoEager) AuditFinalMemory() error { return p.sys.AuditFinalMemory() }

@@ -2,7 +2,6 @@ package tcc
 
 import (
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -113,19 +112,50 @@ func TestProtocolResultsTypedDetail(t *testing.T) {
 	}
 }
 
-// TestValidateErrorsConsistent: every registered model reports a bad config
-// by protocol name and offending Config field in the same format.
+// TestValidateErrorsConsistent: every registered model reports a bad
+// config by protocol name and offending Config field in the same format,
+// through the one shared node validation — never by panicking inside the
+// cache or mesh constructors.
 func TestValidateErrorsConsistent(t *testing.T) {
+	cases := []struct {
+		mutate func(*Config)
+		want   string // after "<protocol>: "
+	}{
+		{func(c *Config) { c.Procs = 0 }, "Config.Procs must be positive, got 0"},
+		{func(c *Config) { c.L2Ways = 0 }, "Config.L2Ways must be positive, got 0"},
+		{func(c *Config) { c.L2Ways = -1 }, "Config.L2Ways must be positive, got -1"},
+		{func(c *Config) { c.L1Ways = -2 }, "Config.L1Ways must be positive, got -2"},
+		{func(c *Config) { c.L1Size = 0 }, "Config.L1Size must hold at least one 32-byte line, got 0"},
+		{func(c *Config) { c.L2Size = 3 << 10 },
+			"Config.L2Size 3072 does not divide into a power-of-two number of 8-way sets"},
+		{func(c *Config) { c.LinkBytesPerCycle = 0 }, "Config.LinkBytesPerCycle must be positive, got 0"},
+		{func(c *Config) { c.LinkBytesPerCycle = -8 }, "Config.LinkBytesPerCycle must be positive, got -8"},
+		{func(c *Config) { c.HopLatency = -1 }, "Config.HopLatency must be non-negative, got -1"},
+		{func(c *Config) { c.MemLatency = -1 }, "Config.MemLatency must be non-negative, got -1"},
+		{func(c *Config) { c.DirLatency = -3 }, "Config.DirLatency must be non-negative, got -3"},
+	}
+	prog := MustProfile("hotspot").Scale(0.05).Build(4, 1)
 	for _, info := range Protocols() {
-		cfg := DefaultConfig(4)
-		cfg.Procs = 0
-		_, err := NewSystemFor(info.Name, cfg, nil)
-		if err == nil {
-			t.Fatalf("%s: Procs=0 accepted", info.Name)
+		for _, tc := range cases {
+			cfg := DefaultConfig(4)
+			tc.mutate(&cfg)
+			want := info.Name + ": " + tc.want
+			_, err := NewSystemFor(info.Name, cfg, prog)
+			if err == nil {
+				t.Errorf("%s: accepted config, want %q", info.Name, want)
+				continue
+			}
+			if err.Error() != want {
+				t.Errorf("%s: error %q, want %q", info.Name, err, want)
+			}
 		}
-		want := fmt.Sprintf("%s: Config.Procs must be positive, got 0", info.Name)
-		if err.Error() != want {
-			t.Errorf("%s: error %q, want %q", info.Name, err, want)
+	}
+	// Procs is checked before the program is consulted.
+	cfg := DefaultConfig(4)
+	cfg.Procs = 0
+	for _, info := range Protocols() {
+		if _, err := NewSystemFor(info.Name, cfg, nil); err == nil {
+			t.Errorf("%s: Procs=0 accepted with no program", info.Name)
 		}
 	}
 }

@@ -26,10 +26,11 @@ func TestSummarizerSharedAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bres, err := RunBaseline(DefaultBaselineConfig(4), prof.Build(4, 1))
+	out, err := RunProtocol("baseline", DefaultConfig(4), prof.Build(4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
+	bres := out.Baseline
 
 	for _, tc := range []struct {
 		name string

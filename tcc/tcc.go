@@ -35,6 +35,7 @@ import (
 
 	"scalabletcc/internal/baseline"
 	"scalabletcc/internal/core"
+	"scalabletcc/internal/machine"
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/mesh"
 	"scalabletcc/internal/obs"
@@ -178,11 +179,32 @@ func DefaultConfig(procs int) Config {
 	}
 }
 
+// node derives the shared node configuration from c: the rival models are
+// built on it, and every protocol validates it, so a bad cache shape, link
+// width or latency is an error naming the protocol and the field.
+func (c Config) node() machine.Config {
+	n := machine.DefaultConfig(c.Procs)
+	n.Geometry.LineSize = c.LineSize
+	n.L1Size, n.L1Ways = c.L1Size, c.L1Ways
+	n.L2Size, n.L2Ways = c.L2Size, c.L2Ways
+	n.HopLatency = sim.Time(c.HopLatency)
+	n.LinkBytesPerCycle = c.LinkBytesPerCycle
+	n.Torus = c.Torus
+	n.MemLatency = sim.Time(c.MemLatency)
+	n.DirLatency = sim.Time(c.DirLatency)
+	n.Seed = c.Seed
+	n.MaxCycles = sim.Time(c.MaxCycles)
+	return n
+}
+
 // compile converts the public configuration to the core form and validates
 // it. Validation and construction share this single conversion, so the
 // config NewSystem builds is — by construction — the config Validate
 // checked.
 func (c Config) compile() (core.Config, error) {
+	if err := c.node().Validate("tcc"); err != nil {
+		return core.Config{}, err
+	}
 	cc := core.DefaultConfig(c.Procs)
 	cc.Geometry = mem.Geometry{LineSize: c.LineSize, WordSize: 4, PageSize: 4096}
 	cc.L1Size, cc.L1Ways = c.L1Size, c.L1Ways
@@ -459,91 +481,3 @@ func TeeObservers(list ...Observer) Observer { return obs.Tee(list...) }
 // stream SetTrace used to produce), for composing with other observers via
 // TeeObservers.
 func TraceObserver(fn func(format string, args ...any)) Observer { return obs.NewTraceAdapter(fn) }
-
-// BaselineConfig parameterizes the bus-based small-scale TCC machine.
-type BaselineConfig struct {
-	Procs            int
-	BusBytesPerCycle int // ordered-bus bandwidth (default 16)
-	MemLatency       int
-	LineGranularity  bool
-	Seed             uint64
-	MaxCycles        uint64
-	CollectCommitLog bool
-}
-
-// DefaultBaselineConfig returns the bus machine matching DefaultConfig's
-// node parameters.
-func DefaultBaselineConfig(procs int) BaselineConfig {
-	return BaselineConfig{Procs: procs, BusBytesPerCycle: 16, MemLatency: 100, Seed: 1}
-}
-
-// compile converts the public baseline configuration to the internal form
-// and validates it (same single-conversion contract as Config.compile).
-func (c BaselineConfig) compile() (baseline.Config, error) {
-	bc := baseline.DefaultConfig(c.Procs)
-	bc.BusBytesPerCycle = c.BusBytesPerCycle
-	bc.MemLatency = sim.Time(c.MemLatency)
-	bc.LineGranularity = c.LineGranularity
-	bc.Seed = c.Seed
-	bc.MaxCycles = sim.Time(c.MaxCycles)
-	if err := bc.Validate(); err != nil {
-		return baseline.Config{}, err
-	}
-	return bc, nil
-}
-
-// Validate reports whether the baseline configuration is well-formed.
-func (c BaselineConfig) Validate() error {
-	_, err := c.compile()
-	return err
-}
-
-// BaselineSystem is an assembled bus-based small-scale TCC machine, the
-// baseline counterpart of System.
-type BaselineSystem struct {
-	inner *baseline.System
-}
-
-// NewBaselineSystem builds a baseline machine running prog under cfg.
-//
-// Deprecated: the baseline is a registry protocol; new code should use
-// NewSystemFor("baseline", cfg, prog), which derives the bus machine from
-// the unified Config. NewBaselineSystem remains for callers that need the
-// bus-specific knobs of BaselineConfig and behaves exactly as before.
-func NewBaselineSystem(cfg BaselineConfig, prog Program) (*BaselineSystem, error) {
-	bc, err := cfg.compile()
-	if err != nil {
-		return nil, err
-	}
-	sys, err := baseline.NewSystem(bc, prog)
-	if err != nil {
-		return nil, err
-	}
-	sys.CollectCommitLog(cfg.CollectCommitLog)
-	return &BaselineSystem{inner: sys}, nil
-}
-
-// Run executes the program to completion.
-func (s *BaselineSystem) Run() (*BaselineResults, error) { return s.inner.Run() }
-
-// Observe attaches a typed protocol-event observer (nil detaches); the
-// baseline machine emits the lifecycle subset that exists on a bus design
-// (fills, commits, snoop invalidations, violations, overflows, barriers).
-// Call before Run.
-func (s *BaselineSystem) Observe(o Observer) { s.inner.Observe(o) }
-
-// RunBaseline executes prog on the bus-based small-scale TCC design.
-//
-// Deprecated: use RunProtocol("baseline", cfg, prog); see NewBaselineSystem.
-func RunBaseline(cfg BaselineConfig, prog Program) (*BaselineResults, error) {
-	s, err := NewBaselineSystem(cfg, prog)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run()
-}
-
-// VerifyBaseline replays a baseline run's commit log.
-func VerifyBaseline(r *BaselineResults) []SerializabilityViolation {
-	return verify.Check(r.CommitLog)
-}

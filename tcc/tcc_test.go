@@ -80,17 +80,17 @@ func TestMustProfilePanics(t *testing.T) {
 }
 
 func TestRunBaselineEndToEnd(t *testing.T) {
-	cfg := DefaultBaselineConfig(4)
+	cfg := DefaultConfig(4)
 	cfg.CollectCommitLog = true
 	prof := MustProfile("equake").Scale(0.02)
-	res, err := RunBaseline(cfg, prof.Build(4, cfg.Seed))
+	res, err := RunProtocol("baseline", cfg, prof.Build(4, cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Commits == 0 {
+	if res.Baseline.Commits == 0 {
 		t.Fatal("baseline made no commits")
 	}
-	if v := VerifyBaseline(res); len(v) != 0 {
+	if v := res.Verify(); len(v) != 0 {
 		t.Fatalf("baseline not serializable: %v", v[0])
 	}
 }
