@@ -154,26 +154,6 @@ func (n *Network) dimHops(from, to, size int) int {
 	return d
 }
 
-// dimStep returns the next coordinate moving from cur toward dst along a
-// dimension of the given size, using the wraparound link when it is shorter.
-func (n *Network) dimStep(cur, dst, size int) int {
-	if cur == dst {
-		return cur
-	}
-	forward := dst - cur
-	if forward < 0 {
-		forward += size
-	}
-	stepUp := forward <= size-forward
-	if !n.cfg.Torus {
-		stepUp = dst > cur
-	}
-	if stepUp {
-		return (cur + 1) % size
-	}
-	return (cur - 1 + size) % size
-}
-
 func abs(v int) int {
 	if v < 0 {
 		return -v
@@ -189,11 +169,16 @@ func abs(v int) int {
 // send times; with messages replayed in nondecreasing time order the link
 // reservations are identical to an inline walk.
 //
-// The per-hop direction is computed arithmetically (XY order, shortest way
-// around on a torus) rather than from a precomputed (position, destination)
-// table: the table was O(grid * nodes) space — 1 MB for a 32x32 mesh and
-// growing quadratically — for a lookup that is two compares and a modular
-// increment.
+// The route is XY: an X leg along the source's row, then a Y leg along the
+// destination's column. Each leg's direction and hop count are fixed once
+// (the shortest way around on a torus, "up" on a tie), and the walk then
+// steps an index through that row or column of the direction's link array
+// with a wrap compare — no per-hop division and no per-hop direction
+// decision. (A precomputed (position, destination) route table would cost
+// O(grid * nodes) space — 1 MB for a 32x32 mesh — for less.) Each hop
+// reserves its link: the head starts at max(arrival, nextFree), holds the
+// link for the serialization time, and reaches the next node HopLatency
+// cycles after it started.
 func (n *Network) RouteAt(now sim.Time, src, dst, bytes int, class Class) sim.Time {
 	n.bytesByClass[class] += uint64(bytes)
 	n.msgsByClass[class]++
@@ -207,42 +192,80 @@ func (n *Network) RouteAt(now sim.Time, src, dst, bytes int, class Class) sim.Ti
 	if occupancy < 1 {
 		occupancy = 1
 	}
-	w, h := n.cfg.Width, n.cfg.Height
-	x, y := src%w, src/w
+	w := n.cfg.Width
+	sx, sy := n.Coord(src)
 	dx, dy := n.Coord(dst)
 	t := now
-	for x != dx || y != dy {
-		var d int
-		nx, ny := x, y
-		if x != dx {
-			if n.dimStep(x, dx, w) == (x+1)%w {
-				d, nx = dirEast, (x+1)%w
-			} else {
-				d, nx = dirWest, (x-1+w)%w
-			}
-		} else {
-			if n.dimStep(y, dy, h) == (y+1)%h {
-				d, ny = dirNorth, (y+1)%h
-			} else {
-				d, ny = dirSouth, (y-1+h)%h
-			}
-		}
-		l := &n.links[d][y*w+x]
-		start := t
-		if l.nextFree > start {
-			start = l.nextFree
-		}
-		l.nextFree = start + occupancy
-		l.busy += occupancy
-		t = start + n.cfg.HopLatency
-		x, y = nx, ny
-		n.hopsTotal++
+	row := sy * w
+	if up, hops := n.leg(sx, dx, w); up {
+		t = n.walk(n.links[dirEast], t, occupancy, hops, row+sx, 1, row, row+w)
+	} else {
+		t = n.walk(n.links[dirWest], t, occupancy, hops, row+sx, -1, row, row+w)
+	}
+	gridN := len(n.links[0])
+	if up, hops := n.leg(sy, dy, n.cfg.Height); up {
+		t = n.walk(n.links[dirNorth], t, occupancy, hops, sy*w+dx, w, dx, dx+gridN)
+	} else {
+		t = n.walk(n.links[dirSouth], t, occupancy, hops, sy*w+dx, -w, dx, dx+gridN)
 	}
 	arrival := t + occupancy // tail of the message drains at the destination
 	if n.cfg.Jitter != nil {
 		arrival += n.cfg.Jitter(src, dst, bytes)
 	}
 	return arrival
+}
+
+// leg returns the direction (up = east/north, toward larger coordinates)
+// and hop count of one route leg from coordinate from to to along a
+// dimension of the given size. On a torus the shorter way around wins and a
+// tie steps up. On a dimension of size 2 both neighbours are the same node;
+// the route takes the up link there, grid or torus, and per-link accounting
+// and link snapshots depend on that choice.
+func (n *Network) leg(from, to, size int) (up bool, hops int) {
+	switch {
+	case from == to:
+		return true, 0
+	case size == 2:
+		return true, 1
+	case !n.cfg.Torus && to > from:
+		return true, to - from
+	case !n.cfg.Torus:
+		return false, from - to
+	}
+	forward := to - from
+	if forward < 0 {
+		forward += size
+	}
+	if forward <= size-forward {
+		return true, forward
+	}
+	return false, size - forward
+}
+
+// walk reserves hops consecutive links of one leg, starting at link index i
+// and moving by stride, wrapping within [lo, hi) — a row (stride ±1) or a
+// column (stride ±Width) of one direction's link array — and returns the
+// head's arrival time at the leg's end.
+func (n *Network) walk(links []link, t, occupancy sim.Time, hops, i, stride, lo, hi int) sim.Time {
+	hop := n.cfg.HopLatency
+	n.hopsTotal += uint64(hops)
+	for ; hops > 0; hops-- {
+		l := &links[i]
+		start := t
+		if l.nextFree > start {
+			start = l.nextFree
+		}
+		l.nextFree = start + occupancy
+		l.busy += occupancy
+		t = start + hop
+		i += stride
+		if i >= hi {
+			i -= hi - lo
+		} else if i < lo {
+			i += hi - lo
+		}
+	}
+	return t
 }
 
 // SendEvent delivers a message of the given size and class from src to dst:

@@ -439,3 +439,22 @@ func BenchmarkMeshSendEvent(b *testing.B) {
 		k.Run(0)
 	}
 }
+
+// BenchmarkMeshMulticast256 measures a 256-way commit multicast's shape: one
+// node sends to the 255 others of a 16x16 grid, then the kernel drains the
+// deliveries.
+func BenchmarkMeshMulticast256(b *testing.B) {
+	k := &sim.Kernel{}
+	n := New(k, 256, DefaultConfig(256))
+	h := &countHandler{}
+	dsts := make([]int, 0, 255)
+	for d := 1; d < 256; d++ {
+		dsts = append(dsts, d)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.MulticastEvent(0, dsts, 16, ClassCommit, h, 0, 0)
+		k.Run(0)
+	}
+}

@@ -13,15 +13,16 @@
 // enumerated for a snapshot.
 //
 // The queue is a two-level bucketed timing wheel. Nearly every event this
-// simulator schedules lands within a short horizon of the current cycle —
-// hop latencies, cache and directory occupancies, memory accesses are all
-// single-digit to low-hundreds of cycles — so the first level is a dense
-// ring of per-cycle buckets covering the next wheelSize cycles. Scheduling
-// within the horizon is an O(1) append; popping is an O(1) bitmap scan to
-// the next occupied bucket. The rare far-future event (a long back-off, a
-// sampler tick, a congested pipeline's drift) goes to a second-level 4-ary
-// min-heap and migrates into the ring when the wheel advances within
-// wheelSize cycles of it.
+// simulator schedules lands within a few thousand cycles of the current
+// cycle — hop latencies, cache and directory occupancies and memory accesses
+// are tens to hundreds of cycles, and a 256-way commit multicast queued
+// behind congested links lands up to ~4000 cycles out — so the first level
+// is a dense ring of per-cycle buckets covering the next wheelSize cycles.
+// Scheduling within the horizon is an O(1) append; popping is an O(1)
+// two-level bitmap scan (a summary word over the occupancy words) to the
+// next occupied bucket. The rare far-future event (a long back-off, a
+// sampler tick) goes to a second-level 4-ary min-heap and migrates into the
+// ring when the wheel advances within wheelSize cycles of it.
 //
 // Determinism is a hard requirement (the serializability checker and the
 // regression tests depend on bit-identical replays), so ties in time are
@@ -40,9 +41,10 @@ import "math/bits"
 type Time uint64
 
 // Wheel geometry: wheelSize per-cycle buckets (a power of two), with a
-// 64-bit-word occupancy bitmap for O(1) next-bucket scans.
+// 64-bit-word occupancy bitmap and one summary word over it for O(1)
+// next-bucket scans. The summary word caps the ring at 64*64 buckets.
 const (
-	wheelBits  = 8
+	wheelBits  = 12
 	wheelSize  = 1 << wheelBits // horizon: cycles the dense ring covers
 	wheelMask  = wheelSize - 1
 	wheelWords = wheelSize / 64
@@ -81,14 +83,15 @@ type Kernel struct {
 	// Level 1: the dense ring. Bucket t&wheelMask holds the events of cycle
 	// t for t in [base, base+wheelSize) as a FIFO list of slab nodes
 	// (head/tail are 1-based indices into nodes; 0 = empty); occ mirrors
-	// which buckets are non-empty. The slab and its free list grow to the
-	// peak event population once and then recycle, so steady-state
-	// scheduling allocates nothing.
+	// which buckets are non-empty, and bit w of sum is set iff occ[w] != 0.
+	// The slab and its free list grow to the peak event population once and
+	// then recycle, so steady-state scheduling allocates nothing.
 	nodes   []node
 	free    int32 // free-list head, 1-based; 0 = empty
 	head    [wheelSize]int32
 	tail    [wheelSize]int32
 	occ     [wheelWords]uint64
+	sum     uint64
 	base    Time
 	inWheel int
 
@@ -170,6 +173,7 @@ func (k *Kernel) bucketNode(t Time) int32 {
 	} else {
 		k.head[i] = n
 		k.occ[i>>6] |= 1 << (i & 63)
+		k.sum |= 1 << (i >> 6)
 	}
 	k.tail[i] = n
 	k.inWheel++
@@ -192,6 +196,11 @@ func (k *Kernel) advance(t Time) {
 // scanDist returns the ring distance from base to the first occupied bucket.
 // The caller guarantees inWheel > 0; all resident events lie in
 // [base, base+wheelSize), so ring order from base is time order.
+//
+// The first probe covers the rest of base's own word. Otherwise the summary
+// word, rotated so bit i stands for word w+1+i, names the next occupied word
+// in ring order; its bit 63 is word w itself, whose set bits then all lie
+// below off — the ring's last buckets — so one formula covers the wrap.
 func (k *Kernel) scanDist() int {
 	j := int(k.base) & wheelMask
 	w := j >> 6
@@ -199,14 +208,12 @@ func (k *Kernel) scanDist() int {
 	if v := k.occ[w] >> off; v != 0 {
 		return bits.TrailingZeros64(v)
 	}
-	d := 64 - off
-	for i := 1; i <= wheelWords; i++ {
-		if v := k.occ[(w+i)&(wheelWords-1)]; v != 0 {
-			return d + bits.TrailingZeros64(v)
-		}
-		d += 64
+	r := bits.RotateLeft64(k.sum, -(w + 1))
+	if r == 0 {
+		panic("sim: occupancy bitmap empty with events in the wheel")
 	}
-	panic("sim: occupancy bitmap empty with events in the wheel")
+	i := bits.TrailingZeros64(r)
+	return 64 - off + 64*i + bits.TrailingZeros64(k.occ[(w+1+i)&(wheelWords-1)])
 }
 
 // refill loads the next non-empty bucket into the drain buffer and advances
@@ -240,7 +247,9 @@ func (k *Kernel) drainBucket() {
 		k.inWheel--
 	}
 	k.head[i], k.tail[i] = 0, 0
-	k.occ[i>>6] &^= 1 << (i & 63)
+	if k.occ[i>>6] &^= 1 << (i & 63); k.occ[i>>6] == 0 {
+		k.sum &^= 1 << (i >> 6)
+	}
 }
 
 // take reads the event fields out of slab node n and recycles it before
@@ -337,12 +346,16 @@ func (k *Kernel) Run(limit uint64) bool {
 }
 
 // RunUntil executes events with at-time <= deadline. Events scheduled later
-// remain pending. Returns true if the queue drained.
+// remain pending. Returns true if the queue drained; a drained kernel's clock
+// then reads deadline, or stays where it was if deadline is already past —
+// the clock never runs backwards.
 func (k *Kernel) RunUntil(deadline Time) bool {
 	for {
 		t, ok := k.peekTime()
 		if !ok {
-			k.now = deadline
+			if deadline > k.now {
+				k.now = deadline
+			}
 			if deadline > k.base {
 				k.base = deadline // empty wheel: window may jump freely
 			}

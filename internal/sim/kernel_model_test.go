@@ -69,7 +69,9 @@ func (r *refSched) runUntil(deadline Time, log *[]int) {
 		}
 		r.step(log)
 	}
-	r.now = deadline
+	if deadline > r.now {
+		r.now = deadline
+	}
 }
 
 // logHandler records typed-event executions for the model check.
@@ -86,14 +88,32 @@ type modelOp struct {
 	limit uint64
 }
 
-// modelScript generates a random op sequence. Deltas are small so times
-// collide often, exercising the (at, seq) tie-break.
+// farDeltas are the wheel's boundary distances: whole summary words away
+// (64·k buckets, and one either side), the horizon edge, and two horizons
+// out. A posted event at one of these leaves the ring sparse, and the ring
+// base, set by the last dispatched event, is rarely word-aligned — so the
+// summary scan's wrap is exercised too.
+var farDeltas = func() []Time {
+	var d []Time
+	for k := Time(1); k < wheelWords; k += 7 {
+		d = append(d, 64*k-1, 64*k, 64*k+1)
+	}
+	return append(d, wheelSize-1, wheelSize, wheelSize+1, 2*wheelSize-1, 2*wheelSize, 2*wheelSize+1)
+}()
+
+// modelScript generates a random op sequence. Most deltas are small so times
+// collide often, exercising the (at, seq) tie-break; one in four is a wheel
+// boundary distance from farDeltas.
 func modelScript(r *rand.Rand, n int) []modelOp {
 	ops := make([]modelOp, n)
 	for i := range ops {
+		delta := Time(r.Intn(8))
+		if r.Intn(4) == 0 {
+			delta = farDeltas[r.Intn(len(farDeltas))]
+		}
 		ops[i] = modelOp{
 			kind:  byte(r.Intn(5)),
-			delta: Time(r.Intn(8)),
+			delta: delta,
 			limit: uint64(r.Intn(4)),
 		}
 	}
@@ -251,12 +271,10 @@ func (h *guardedHandler) HandleEvent(code uint32, a1, a2 uint64) {
 // i.e. ring vs overflow classification), multi-wrap times, and far-future
 // events that sit in the overflow level across many window advances.
 func TestWheelMatchesReferenceHeapQuick(t *testing.T) {
-	deltas := []Time{
+	deltas := append([]Time{
 		0, 1, 2, 5, 7, 63, 64,
-		wheelSize - 1, wheelSize, wheelSize + 1,
-		2*wheelSize - 1, 2 * wheelSize, 2*wheelSize + 5,
-		1000, 4096, 10007,
-	}
+		2*wheelSize + 5, 1000, 4096, 10007,
+	}, farDeltas...)
 	check := func(seed int64, n int) bool {
 		r := rand.New(rand.NewSource(seed))
 		var k Kernel
@@ -340,6 +358,36 @@ func TestWheelMatchesReferenceHeapQuick(t *testing.T) {
 	}
 }
 
+// TestWheelSparseScan pins the two-level occupancy scan on sparse wheels:
+// from ring bases at every alignment within and across a summary word, the
+// next event at each distance up to the horizon — whole words away, one
+// bucket either side of a word edge, and wrapping past the end of the ring —
+// dispatches at exactly its cycle, with a second, farther event left behind
+// in the ring.
+func TestWheelSparseScan(t *testing.T) {
+	var k Kernel
+	h := &logHandler{log: new([]int)}
+	var dists []Time
+	for w := Time(0); w < wheelWords; w++ {
+		dists = append(dists, 64*w, 64*w+1, 64*w+63)
+	}
+	for _, skew := range []Time{1, 31, 63, 64, 65, wheelSize/2 + 17, wheelSize - 1} {
+		for _, d := range dists {
+			k.PostAfter(skew, h, 0, 0, 0)
+			k.Run(0) // ring base = clock, at a new alignment
+			start := k.Now()
+			k.PostAfter(wheelSize-1, h, 0, 0, 0)
+			k.PostAfter(d, h, 0, 0, 0)
+			if !k.Step() || k.Now() != start+d {
+				t.Fatalf("base %d: event %d cycles out dispatched at %d", start, d, k.Now()-start)
+			}
+			if !k.Step() || k.Now() != start+wheelSize-1 {
+				t.Fatalf("base %d: horizon-edge event dispatched at +%d", start, k.Now()-start)
+			}
+		}
+	}
+}
+
 // TestWheelPastSchedulePanics pins the causality guard with a clock far from
 // zero: after the window has advanced, scheduling even one cycle in the past
 // must panic rather than wrap into a live bucket.
@@ -408,6 +456,34 @@ func BenchmarkKernelPostStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.PostAfter(3, p, 0, 0, 0)
+		k.Step()
+	}
+}
+
+// farPump reposts itself 256–4095 cycles ahead on every dispatch — the
+// distance band of a 256-way commit multicast queued behind congested mesh
+// links.
+type farPump struct {
+	k *Kernel
+	x uint64
+}
+
+func (p *farPump) HandleEvent(code uint32, a1, a2 uint64) {
+	p.x = p.x*6364136223846793005 + 1442695040888963407
+	p.k.PostAfter(Time(256+(p.x>>33)%3840), p, 0, a1, a2)
+}
+
+// BenchmarkKernelFarPost measures schedule + dispatch of one event against a
+// standing population of 4096 events posted 256–4095 cycles ahead.
+func BenchmarkKernelFarPost(b *testing.B) {
+	var k Kernel
+	p := &farPump{k: &k, x: 1}
+	for i := 0; i < 4096; i++ {
+		k.PostAfter(Time(256+i%3840), p, 0, 0, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		k.Step()
 	}
 }

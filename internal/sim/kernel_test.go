@@ -116,6 +116,28 @@ func TestKernelRunUntil(t *testing.T) {
 	}
 }
 
+// TestKernelRunUntilNeverRewinds: a drained kernel given a deadline already
+// behind its clock keeps its clock, so posting between the deadline and the
+// clock is still a past schedule.
+func TestKernelRunUntilNeverRewinds(t *testing.T) {
+	var k Kernel
+	var c calls
+	c.at(&k, 100, func() {})
+	k.Run(0)
+	if !k.RunUntil(50) {
+		t.Fatal("RunUntil on a drained kernel did not report drained")
+	}
+	if k.Now() != 100 {
+		t.Fatalf("Now = %d after RunUntil(50), want 100", k.Now())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Post(60) after the clock reached 100 did not panic")
+		}
+	}()
+	c.at(&k, 60, func() {})
+}
+
 func TestKernelStepEmpty(t *testing.T) {
 	var k Kernel
 	if k.Step() {

@@ -25,9 +25,13 @@ func buildRun(k *Kernel, h *recHandler, cutCycles int) {
 	for i := 0; i < 40; i++ {
 		k.Post(Time(1+i*7%60), h, uint32(i%6), uint64(i), uint64(i*i))
 	}
-	// Far-future events exercise the overflow heap across the snapshot.
+	// Events on both sides of the wheel horizon: the far ones sit in the
+	// overflow heap across the snapshot.
 	k.Post(500, h, 7, 1, 2)
 	k.Post(1000, h, 8, 3, 4)
+	k.Post(wheelSize-1, h, 7, 5, 6)
+	k.Post(wheelSize+5, h, 8, 7, 8)
+	k.Post(3*wheelSize, h, 7, 9, 10)
 	k.Post(70, h, 2, 9, 9)
 	for i := 0; i < cutCycles; i++ {
 		if !k.StepCycle() {
@@ -56,6 +60,9 @@ func TestKernelSnapshotRestoreReplaysIdentically(t *testing.T) {
 	if nRun == 0 || len(evs) == 0 {
 		t.Fatalf("cut too early: nRun=%d pending=%d", nRun, len(evs))
 	}
+	if a.inWheel == 0 || len(a.over) == 0 {
+		t.Fatalf("cut must leave events on both sides of the horizon: wheel=%d overflow=%d", a.inWheel, len(a.over))
+	}
 
 	var b Kernel
 	bH := &recHandler{k: &b}
@@ -71,6 +78,9 @@ func TestKernelSnapshotRestoreReplaysIdentically(t *testing.T) {
 	}
 	if b.Pending() != len(evs) {
 		t.Fatalf("restored pending %d, want %d", b.Pending(), len(evs))
+	}
+	if b.inWheel != a.inWheel || len(b.over) != len(a.over) {
+		t.Fatalf("restored split wheel=%d overflow=%d, want %d/%d", b.inWheel, len(b.over), a.inWheel, len(a.over))
 	}
 	for b.StepCycle() {
 	}

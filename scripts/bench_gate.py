@@ -11,8 +11,9 @@ last, so it supersedes same-named entries), falling back to the `after`
 block of BENCH_hotpath.json. Fails on
 
   * ns/op more than THRESHOLD (default 15%) above the baseline,
-  * any allocation on the zero-alloc hot paths (kernel post/step, mesh send),
-    or
+  * any allocation on the zero-alloc hot paths (kernel post/step and far
+    post, mesh send and 256-way multicast), or a zero-alloc bench missing
+    from the input, or
   * a per-protocol simulator run (BenchmarkProtocols/*) allocating more than
     ALLOC_THRESHOLD (15%) above its recorded allocs_op. Allocation counts do
     not depend on the host, so this check holds on any runner and is not
@@ -33,7 +34,12 @@ import sys
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 THRESHOLD = float(os.environ.get("BENCH_GATE_THRESHOLD", "0.15"))
-ZERO_ALLOC = {"BenchmarkKernelPostStep", "BenchmarkMeshSendEvent"}
+ZERO_ALLOC = {
+    "BenchmarkKernelPostStep",
+    "BenchmarkKernelFarPost",
+    "BenchmarkMeshSendEvent",
+    "BenchmarkMeshMulticast256",
+}
 ALLOC_THRESHOLD = 0.15
 ALLOC_GATED = re.compile(r"^BenchmarkProtocols/")
 
@@ -120,6 +126,9 @@ def main():
         sys.exit("bench_gate: no benchmark lines found in input")
 
     failed = False
+    for bench in sorted(ZERO_ALLOC - ns.keys()):
+        print(f"{bench}: zero-alloc hot path missing from the input — run it")
+        failed = True
     for bench in sorted(ns):
         got = ns[bench]
         if bench in baselines:
