@@ -11,6 +11,7 @@
 package scalabletcc
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"testing"
@@ -354,6 +355,44 @@ func BenchmarkObserverCounting(b *testing.B) {
 	}
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
+}
+
+// BenchmarkObserverJSONL measures the same run again with the JSONL event
+// stream on, written to io.Discard: the cost of full observation (encoding
+// every event line) next to BenchmarkObserverOff.
+func BenchmarkObserverJSONL(b *testing.B) {
+	prof := tcc.MustProfile("barnes").Scale(0.1)
+	cfg := tcc.DefaultConfig(16)
+	b.ReportAllocs()
+	var cycles, lines uint64
+	for i := 0; i < b.N; i++ {
+		sys, err := tcc.NewSystem(cfg, prof.Build(16, uint64(i+1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		w := &lineCounter{}
+		j := tcc.NewJSONLObserver(w)
+		sys.Observe(j)
+		res, err := sys.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := j.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		cycles += uint64(res.Cycles)
+		lines += w.lines - 1 // less the schema header
+	}
+	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles/op")
+	b.ReportMetric(float64(lines)/float64(b.N), "events/op")
+}
+
+// lineCounter discards what it is written, counting newlines.
+type lineCounter struct{ lines uint64 }
+
+func (c *lineCounter) Write(p []byte) (int, error) {
+	c.lines += uint64(bytes.Count(p, []byte{'\n'}))
+	return len(p), nil
 }
 
 // BenchmarkCommitLatency isolates the commit path: a tiny-transaction

@@ -4,8 +4,9 @@
 // lifecycle actions around it (fills, violations, overflow evictions,
 // barriers) — to a pluggable Observer. Sinks shipped with the package:
 //
-//   - JSONLWriter: a machine-parseable JSON-lines stream (schema
-//     "scalabletcc/events", versioned);
+//   - JSONLStream: a machine-parseable JSON-lines stream (schema
+//     "scalabletcc/events", versioned), unbuffered for live tailing or
+//     buffered as JSONLWriter;
 //   - RingBuffer: a bounded in-memory tail for debugging;
 //   - Counter: a per-kind counting aggregator whose totals reconcile with a
 //     run's Results counters;
@@ -26,6 +27,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 )
 
 // Kind enumerates the protocol-event taxonomy: the Table 1 vocabulary as
@@ -106,8 +108,25 @@ func KindByName(name string) (Kind, bool) {
 	return 0, false
 }
 
+// kindJSON holds each kind's wire name pre-quoted as a JSON string.
+var kindJSON = func() (q [NumKinds]string) {
+	for k, n := range kindNames {
+		q[k] = `"` + n + `"`
+	}
+	return q
+}()
+
+// appendKind appends the kind's wire name as a JSON string.
+func appendKind(dst []byte, k Kind) []byte {
+	if int(k) < NumKinds {
+		return append(dst, kindJSON[k]...)
+	}
+	dst = strconv.AppendInt(append(dst, `"Kind(`...), int64(k), 10)
+	return append(dst, `)"`...)
+}
+
 // MarshalJSON emits the kind as its wire name.
-func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
+func (k Kind) MarshalJSON() ([]byte, error) { return appendKind(nil, k), nil }
 
 // UnmarshalJSON parses a wire name.
 func (k *Kind) UnmarshalJSON(b []byte) error {

@@ -5,10 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // ---------------------------------------------------------------------------
-// JSONL writer.
+// JSONL stream.
 
 const (
 	// StreamSchema identifies the JSONL event-stream document type.
@@ -18,78 +19,80 @@ const (
 	StreamVersion = 1
 )
 
-// streamHeader is the first line of every JSONL event stream.
-type streamHeader struct {
-	Schema  string `json:"schema"`
-	Version int    `json:"version"`
-}
-
 // sampleLine wraps a Sample with its "k" discriminator.
 type sampleLine struct {
 	K string `json:"k"`
 	Sample
 }
 
-// JSONLWriter streams events (and sampler records) as JSON lines. The first
+// appendEvent appends e's v1 wire form: the exact bytes json.Marshal(e)
+// produces — fields in struct order, omitempty fields dropped when zero (Data
+// when empty, nil or not), numbers in decimal. A Set holding anything beyond
+// printable ASCII free of '"', '\\' and the HTML-escaped '<', '>', '&' falls
+// back to encoding/json's own string encoding.
+func appendEvent(dst []byte, e *Event) []byte {
+	dst = strconv.AppendUint(append(dst, `{"c":`...), e.Cycle, 10)
+	dst = appendKind(append(dst, `,"k":`...), e.Kind)
+	dst = strconv.AppendInt(append(dst, `,"n":`...), int64(e.Node), 10)
+	dst = strconv.AppendInt(append(dst, `,"p":`...), int64(e.Peer), 10)
+	dst = appendUint(dst, `,"tid":`, e.TID)
+	dst = appendUint(dst, `,"tid2":`, e.TID2)
+	dst = appendUint(dst, `,"addr":`, e.Addr)
+	dst = appendUint(dst, `,"words":`, e.Words)
+	dst = appendUint(dst, `,"sr":`, e.SR)
+	dst = appendUint(dst, `,"sm":`, e.SM)
+	if e.Arg != 0 {
+		dst = strconv.AppendInt(append(dst, `,"arg":`...), e.Arg, 10)
+	}
+	if len(e.Data) > 0 {
+		dst = append(dst, `,"data":[`...)
+		for i, w := range e.Data {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendUint(dst, w, 10)
+		}
+		dst = append(dst, ']')
+	}
+	if e.Set != "" {
+		dst = appendString(append(dst, `,"set":`...), e.Set)
+	}
+	return append(dst, '}')
+}
+
+// appendUint appends an omitempty unsigned field.
+func appendUint(dst []byte, key string, v uint64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendUint(append(dst, key...), v, 10)
+}
+
+// appendString appends s as a JSON string the way encoding/json does.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a Go string always marshals
+			return append(dst, b...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
+}
+
+// JSONLStream streams events (and sampler records) as JSON lines. The first
 // line is a schema header; every following line carries a "k" discriminator —
 // an event kind name, or "sample" for a sampler record. Output depends only
 // on the event sequence, so equal-seed runs produce byte-identical streams.
 //
-// The writer buffers internally; call Flush when the run completes. Write
-// errors are sticky and reported by Flush.
-type JSONLWriter struct {
-	w      *bufio.Writer
-	err    error
-	header bool
-}
-
-// NewJSONL returns a writer streaming to w.
-func NewJSONL(w io.Writer) *JSONLWriter {
-	return &JSONLWriter{w: bufio.NewWriter(w)}
-}
-
-func (j *JSONLWriter) line(v any) {
-	if j.err != nil {
-		return
-	}
-	if !j.header {
-		j.header = true
-		j.line(streamHeader{StreamSchema, StreamVersion})
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		j.err = fmt.Errorf("obs: marshal event: %w", err)
-		return
-	}
-	if _, err := j.w.Write(append(b, '\n')); err != nil {
-		j.err = err
-	}
-}
-
-// Event writes one event line.
-func (j *JSONLWriter) Event(e Event) { j.line(e) }
-
-// Sample writes one sampler line, discriminated by "k":"sample".
-func (j *JSONLWriter) Sample(s Sample) { j.line(sampleLine{"sample", s}) }
-
-// Flush drains the buffer and returns the first error encountered.
-func (j *JSONLWriter) Flush() error {
-	if err := j.w.Flush(); j.err == nil {
-		j.err = err
-	}
-	return j.err
-}
-
-// JSONLStream produces the exact byte stream JSONLWriter does — same header,
-// same per-line encoding — but hands each complete line to w the moment it
-// is produced instead of buffering. It is the live-streaming sink: writing
-// into a runner.StreamLog line by line lets SSE subscribers tail a running
-// job, while a file target still sees byte-identical output. Write errors
-// are sticky and reported by Err.
+// Each complete line is handed to w the moment it is produced, which lets a
+// runner.StreamLog subscriber tail a running job. Event lines are encoded by
+// appendEvent into one reused line buffer; w must not retain it (the
+// io.Writer contract). Write errors are sticky and reported by Err.
 type JSONLStream struct {
 	w      io.Writer
 	err    error
 	header bool
+	line   []byte
 }
 
 // NewJSONLStream returns an unbuffered line-at-a-time writer streaming to w.
@@ -105,32 +108,65 @@ func ResumeJSONLStream(w io.Writer) *JSONLStream {
 	return &JSONLStream{w: w, header: true}
 }
 
-func (j *JSONLStream) line(v any) {
-	if j.err != nil {
-		return
-	}
-	if !j.header {
-		j.header = true
-		j.line(streamHeader{StreamSchema, StreamVersion})
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		j.err = fmt.Errorf("obs: marshal event: %w", err)
-		return
-	}
-	if _, err := j.w.Write(append(b, '\n')); err != nil {
-		j.err = err
-	}
-}
-
 // Event writes one event line.
-func (j *JSONLStream) Event(e Event) { j.line(e) }
+func (j *JSONLStream) Event(e Event) { j.write(appendEvent(j.begin(), &e)) }
 
-// Sample writes one sampler line, discriminated by "k":"sample".
-func (j *JSONLStream) Sample(s Sample) { j.line(sampleLine{"sample", s}) }
+// Sample writes one sampler line, discriminated by "k":"sample". Samples are
+// rare and carry floats, so they keep encoding/json.
+func (j *JSONLStream) Sample(s Sample) {
+	line := j.begin()
+	b, err := json.Marshal(sampleLine{"sample", s})
+	if err != nil && j.err == nil {
+		j.err = fmt.Errorf("obs: marshal event: %w", err)
+	}
+	j.write(append(line, b...))
+}
 
 // Err returns the first write or encode error encountered.
 func (j *JSONLStream) Err() error { return j.err }
+
+// begin returns the emptied line buffer, writing the schema header
+// ({"schema":"scalabletcc/events","version":1}) ahead of the first line.
+func (j *JSONLStream) begin() []byte {
+	if !j.header {
+		j.header = true
+		hdr := append(j.line[:0], `{"schema":"`+StreamSchema+`","version":`...)
+		j.write(append(strconv.AppendInt(hdr, StreamVersion, 10), '}'))
+	}
+	return j.line[:0]
+}
+
+// write terminates line and hands it to w; after the first error nothing
+// more is written.
+func (j *JSONLStream) write(line []byte) {
+	j.line = append(line, '\n')
+	if j.err == nil {
+		if _, err := j.w.Write(j.line); err != nil {
+			j.err = err
+		}
+	}
+}
+
+// JSONLWriter is a JSONLStream over a bufio.Writer: the buffered sink for
+// files. Call Flush when the run completes; it reports the first error.
+type JSONLWriter struct {
+	JSONLStream
+	buf *bufio.Writer
+}
+
+// NewJSONL returns a buffered writer streaming to w.
+func NewJSONL(w io.Writer) *JSONLWriter {
+	buf := bufio.NewWriter(w)
+	return &JSONLWriter{JSONLStream: JSONLStream{w: buf}, buf: buf}
+}
+
+// Flush drains the buffer and returns the first error encountered.
+func (j *JSONLWriter) Flush() error {
+	if err := j.buf.Flush(); j.err == nil {
+		j.err = err
+	}
+	return j.err
+}
 
 // ---------------------------------------------------------------------------
 // Bounded ring buffer.

@@ -145,6 +145,10 @@ func NewServer(q *Queue) *http.ServeMux {
 // exact scalabletcc/events v1 byte stream. A subscriber attaching mid-run
 // first replays the prefix, then tails live appends. The stream ends with
 // an `event: done` frame carrying the job's terminal state.
+//
+// Every frame completed by one wake of the log is built into one reused
+// buffer and sent with one Write and one Flush; a line that straddles a
+// chunk boundary waits in partial for the rest of its bytes.
 func serveEvents(q *Queue, w http.ResponseWriter, r *http.Request) {
 	log, ok := q.Events(r.PathValue("id"))
 	if !ok {
@@ -162,6 +166,7 @@ func serveEvents(q *Queue, w http.ResponseWriter, r *http.Request) {
 	flusher.Flush()
 
 	var partial []byte // bytes after the last newline seen so far
+	var frames []byte
 	off := 0
 	for {
 		data, closed, err := log.Wait(r.Context(), off)
@@ -169,18 +174,17 @@ func serveEvents(q *Queue, w http.ResponseWriter, r *http.Request) {
 			return // client went away
 		}
 		off += len(data)
-		partial = append(partial, data...)
+		frames = frames[:0]
 		for {
-			i := bytes.IndexByte(partial, '\n')
+			i := bytes.IndexByte(data, '\n')
 			if i < 0 {
 				break
 			}
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", partial[:i]); err != nil {
-				return
-			}
-			partial = partial[i+1:]
+			frames = append(append(append(frames, "data: "...), partial...), data[:i]...)
+			frames = append(frames, "\n\n"...)
+			partial, data = partial[:0], data[i+1:]
 		}
-		flusher.Flush()
+		partial = append(partial, data...)
 		if closed {
 			// A trailing partial line means the writer was abandoned
 			// mid-line; it is not a valid events line, so drop it.
@@ -189,8 +193,15 @@ func serveEvents(q *Queue, w http.ResponseWriter, r *http.Request) {
 			if st != nil {
 				state = st.State
 			}
-			fmt.Fprintf(w, "event: done\ndata: {\"k\":\"job-done\",\"state\":%q}\n\n", state)
+			frames = fmt.Appendf(frames, "event: done\ndata: {\"k\":\"job-done\",\"state\":%q}\n\n", state)
+		}
+		if len(frames) > 0 {
+			if _, err := w.Write(frames); err != nil {
+				return
+			}
 			flusher.Flush()
+		}
+		if closed {
 			return
 		}
 	}

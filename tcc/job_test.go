@@ -167,3 +167,54 @@ func TestRunJobHonorsCancellation(t *testing.T) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
+
+// The JSONL stream's hand-rolled encoder must reproduce encoding/json byte
+// for byte on whole runs: for every protocol, the RunJob EventWriter stream
+// equals a reference sink that marshals each event with encoding/json.
+func TestRunJobStreamMatchesEncodingJSON(t *testing.T) {
+	for _, proto := range []string{"tcc", "baseline", "tl2", "eager"} {
+		for _, app := range []string{"hotspot", "barnes"} {
+			t.Run(proto+"/"+app, func(t *testing.T) {
+				spec := tcc.NewJobSpec(tcc.JobKindRun)
+				spec.Run = &tcc.RunSpec{App: app, Procs: 8, Scale: 0.25, Seed: 1, Protocol: proto}
+
+				ref, err := json.Marshal(struct {
+					Schema  string `json:"schema"`
+					Version int    `json:"version"`
+				}{"scalabletcc/events", 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref = append(ref, '\n')
+				var events int
+				var refErr error
+				refSink := tcc.FuncObserver(func(e tcc.Event) {
+					b, err := json.Marshal(e)
+					if err != nil && refErr == nil {
+						refErr = err
+					}
+					ref = append(append(ref, b...), '\n')
+					events++
+				})
+				var got bytes.Buffer
+				opts := &tcc.RunJobOptions{EventWriter: &got, Observer: refSink}
+				if _, err := tcc.RunJob(context.Background(), spec, opts); err != nil {
+					t.Fatal(err)
+				}
+				if refErr != nil {
+					t.Fatal(refErr)
+				}
+				if events == 0 {
+					t.Fatal("run emitted no events")
+				}
+				if !bytes.Equal(got.Bytes(), ref) {
+					i := 0
+					for i < min(got.Len(), len(ref)) && got.Bytes()[i] == ref[i] {
+						i++
+					}
+					t.Fatalf("stream differs from encoding/json at byte %d of %d/%d (%d events)", i, got.Len(), len(ref), events)
+				}
+			})
+		}
+	}
+}
