@@ -31,6 +31,7 @@
 package eager
 
 import (
+	"scalabletcc/internal/bits"
 	"scalabletcc/internal/machine"
 	"scalabletcc/internal/mem"
 	"scalabletcc/internal/mesh"
@@ -57,26 +58,49 @@ func (r *Results) Summary() stats.Summary { return r.Totals.Summary("eager") }
 // lineDir is one line's conflict-tracking state at its home: the version of
 // the last committed writer plus the live reader/writer registrations.
 type lineDir struct {
-	version mem.Version
-	writer  int // registered writing processor, -1 when none
-	readers map[int]struct{}
+	version  mem.Version
+	writer   int          // registered writing processor, -1 when none
+	readers  bits.NodeSet // registered reading processors
+	nreaders int          // readers.Count(), kept without a scan
 }
 
-func (d *lineDir) readersOtherThan(id int) bool {
-	if len(d.readers) == 0 {
-		return false
+// addReader registers processor id as a reader; registering again is a
+// no-op.
+func (d *lineDir) addReader(id int) {
+	if !d.readers.Has(id) {
+		d.readers.Set(id)
+		d.nreaders++
 	}
-	if len(d.readers) > 1 {
+}
+
+// unregister drops processor id's registrations on the line.
+func (d *lineDir) unregister(id int) {
+	if d.readers.Has(id) {
+		d.readers.Clear(id)
+		d.nreaders--
+	}
+	if d.writer == id {
+		d.writer = -1
+	}
+}
+
+// readersOtherThan reports whether a processor other than id is a
+// registered reader.
+func (d *lineDir) readersOtherThan(id int) bool {
+	switch d.nreaders {
+	case 0:
+		return false
+	case 1:
+		return !d.readers.Has(id)
+	default:
 		return true
 	}
-	_, self := d.readers[id]
-	return !self
 }
 
 // System is the assembled eager machine.
 type System struct {
 	*machine.Machine
-	dirs []map[mem.Addr]*lineDir
+	dirs []machine.LineTable[lineDir] // per home
 
 	commitSeq  mem.Version // the TID vendor at node 0
 	nacksRead  uint64
@@ -90,10 +114,7 @@ func NewSystem(cfg machine.Config, prog workload.Program) (*System, error) {
 		return nil, err
 	}
 	m.UseMesh()
-	s := &System{Machine: m, dirs: make([]map[mem.Addr]*lineDir, cfg.Procs)}
-	for i := range s.dirs {
-		s.dirs[i] = make(map[mem.Addr]*lineDir)
-	}
+	s := &System{Machine: m, dirs: make([]machine.LineTable[lineDir], cfg.Procs)}
 	for i := 0; i < cfg.Procs; i++ {
 		newProc(s, i)
 	}
@@ -102,10 +123,9 @@ func NewSystem(cfg machine.Config, prog workload.Program) (*System, error) {
 
 // dir returns (allocating if needed) the line's registration entry at home.
 func (s *System) dir(home int, base mem.Addr) *lineDir {
-	d := s.dirs[home][base]
-	if d == nil {
-		d = &lineDir{writer: -1, readers: make(map[int]struct{})}
-		s.dirs[home][base] = d
+	d, added := s.dirs[home].Entry(base)
+	if added {
+		d.writer = -1
 	}
 	return d
 }

@@ -1,6 +1,8 @@
 package eager
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"scalabletcc/internal/machine"
@@ -162,5 +164,78 @@ func TestWatchdog(t *testing.T) {
 	}
 	if _, err := sys.Run(); err == nil {
 		t.Fatal("watchdog did not fire")
+	}
+}
+
+// TestReaderRegistration drives one line's registrations through scripted
+// and random register/unregister sequences, including a reader registering
+// twice, and checks readersOtherThan against a map-backed set after every
+// step.
+func TestReaderRegistration(t *testing.T) {
+	d := &lineDir{writer: -1}
+	ref := map[int]bool{}
+	check := func(step string) {
+		t.Helper()
+		for id := 0; id < 130; id++ {
+			want := len(ref) > 1 || (len(ref) == 1 && !ref[id])
+			if got := d.readersOtherThan(id); got != want {
+				t.Fatalf("%s: readersOtherThan(%d) = %v, want %v (readers %v)", step, id, got, want, ref)
+			}
+		}
+		if d.nreaders != len(ref) || d.readers.Count() != len(ref) {
+			t.Fatalf("%s: %d readers counted, %d in the set, want %d", step, d.nreaders, d.readers.Count(), len(ref))
+		}
+	}
+	add := func(id int) {
+		d.addReader(id)
+		ref[id] = true
+	}
+	drop := func(id int) {
+		d.unregister(id)
+		delete(ref, id)
+	}
+
+	check("empty")
+	add(3)
+	check("one reader")
+	add(3)
+	check("same reader twice")
+	drop(3)
+	check("the twice-registered reader dropped once")
+	drop(3)
+	check("dropped again")
+	add(3)
+	add(70)
+	add(3)
+	check("two readers, one twice")
+	drop(70)
+	check("back to one")
+	drop(5)
+	check("dropping a non-reader")
+
+	d.writer = 9
+	d.unregister(3)
+	delete(ref, 3)
+	if d.writer != 9 {
+		t.Fatalf("unregister of a reader released writer %d", d.writer)
+	}
+	d.unregister(9)
+	if d.writer != -1 {
+		t.Fatalf("unregister of the writer left writer %d", d.writer)
+	}
+	check("writer released")
+
+	// A few ids, across NodeSet words, keep the set small enough to pass
+	// through zero and one reader often.
+	ids := []int{0, 1, 63, 64, 129}
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 20000; step++ {
+		id := ids[rng.Intn(len(ids))]
+		if rng.Intn(2) == 0 {
+			add(id)
+		} else {
+			drop(id)
+		}
+		check(fmt.Sprintf("random step %d", step))
 	}
 }

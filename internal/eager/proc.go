@@ -53,6 +53,9 @@ type proc struct {
 	// tx holds the registrations this attempt holds at the lines' homes
 	// (Read, Write) and its buffered writes.
 	tx machine.LineSet
+	// groups is the attempt's lines grouped by home, regrouped at every
+	// commit or abort; each group is copied into a record before sending.
+	groups []machine.HomeGroup
 
 	tid         mem.Version
 	pendingAcks int
@@ -183,7 +186,7 @@ func (p *proc) atHome(code uint32, a1 uint64) {
 	case opRelease:
 		r := s.Recs.At(a1)
 		for _, base := range r.Bases {
-			p.unregister(s.dir(r.Home, base))
+			s.dir(r.Home, base).unregister(p.ID)
 		}
 		s.Recs.Free(a1)
 	default:
@@ -209,7 +212,7 @@ func (p *proc) homeRead(i uint64) {
 		p.Reply(home, msgHdr, mesh.ClassMiss, opAbort, abortReadConflict)
 		return
 	}
-	d.readers[p.ID] = struct{}{}
+	d.addReader(p.ID)
 	if s.Obs != nil {
 		s.Emit(obs.Event{Kind: obs.KLoad, Node: home, Peer: p.ID, Addr: uint64(base),
 			TID: uint64(d.version)})
@@ -303,14 +306,6 @@ func (p *proc) onWriteAck() {
 	p.Filled()
 }
 
-// unregister drops this processor's registrations on a line at its home.
-func (p *proc) unregister(d *lineDir) {
-	delete(d.readers, p.ID)
-	if d.writer == p.ID {
-		d.writer = -1
-	}
-}
-
 // Commit takes a TID from the vendor at node 0. The TID is granted while
 // every registration is still held, so real-time commit order equals TID
 // order.
@@ -331,9 +326,9 @@ func (p *proc) onTID(t mem.Version) {
 			Arg: int64(p.ReadSet.Len())})
 	}
 	record := p.StartRecord(t)
-	groups := p.GroupByHome(&p.tx, nil)
-	p.pendingAcks = len(groups)
-	for _, grp := range groups {
+	p.groups = p.GroupByHome(p.groups, &p.tx, nil)
+	p.pendingAcks = len(p.groups)
+	for _, grp := range p.groups {
 		i, r := s.Recs.Alloc()
 		r.Home = grp.Home
 		r.V = t
@@ -374,7 +369,7 @@ func (p *proc) homeCommit(i uint64) {
 					TID: uint64(t), Addr: uint64(base), Words: uint64(mask)})
 			}
 		}
-		p.unregister(d)
+		d.unregister(p.ID)
 	}
 	s.Recs.Free(i)
 	p.Reply(home, msgHdr, mesh.ClassCommit, opCommitAck, 0)
@@ -395,7 +390,8 @@ func (p *proc) finishCommit() {
 func (p *proc) abort(reason int) {
 	s := p.sys
 	p.Violate(int64(reason))
-	for _, grp := range p.GroupByHome(&p.tx, nil) {
+	p.groups = p.GroupByHome(p.groups, &p.tx, nil)
+	for _, grp := range p.groups {
 		i, r := s.Recs.Alloc()
 		r.Home = grp.Home
 		r.Bases = append(r.Bases, grp.Bases...)

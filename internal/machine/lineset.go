@@ -14,31 +14,42 @@ type TxLine struct {
 	Written bits.WordMask // words the attempt wrote, buffered locally until commit
 }
 
-// LineSet is the lines one attempt touched, in first-touch order.
+// LineSet is the lines one attempt touched, in first-touch order. An
+// AddrIndex resolves a line to its position in Order, and the line states
+// sit in a dense slice parallel to Order, so Reset is O(1) and a set that
+// has reached its size touches lines without allocating. A *TxLine is
+// valid until the next Touch.
 type LineSet struct {
-	lines map[mem.Addr]*TxLine
+	idx   mem.AddrIndex
+	lines []TxLine
 	Order []mem.Addr
 }
 
 // Reset empties the set for a new attempt.
 func (s *LineSet) Reset() {
-	s.lines = make(map[mem.Addr]*TxLine, len(s.lines)+1)
+	s.idx.Reset()
+	s.lines = s.lines[:0]
 	s.Order = s.Order[:0]
 }
 
 // Get returns the line's state, or nil if the attempt has not touched it.
-func (s *LineSet) Get(base mem.Addr) *TxLine { return s.lines[base] }
+func (s *LineSet) Get(base mem.Addr) *TxLine {
+	if i, ok := s.idx.Get(base); ok {
+		return &s.lines[i]
+	}
+	return nil
+}
 
 // Touch returns the line's state, adding the line if the attempt has not
 // touched it yet.
 func (s *LineSet) Touch(base mem.Addr) *TxLine {
-	tl := s.lines[base]
-	if tl == nil {
-		tl = &TxLine{}
-		s.lines[base] = tl
-		s.Order = append(s.Order, base)
+	if i, ok := s.idx.Get(base); ok {
+		return &s.lines[i]
 	}
-	return tl
+	s.idx.Set(base, int32(len(s.lines)))
+	s.lines = append(s.lines, TxLine{})
+	s.Order = append(s.Order, base)
+	return &s.lines[len(s.lines)-1]
 }
 
 // HomeGroup batches one message's lines for a single home.
@@ -50,20 +61,31 @@ type HomeGroup struct {
 
 // GroupByHome batches the lines of s that want selects (every line when
 // want is nil) into one group per home, in first-touch order for
-// determinism.
-func (n *Node) GroupByHome(s *LineSet, want func(*TxLine) bool) []HomeGroup {
-	var out []HomeGroup
-	idx := make(map[int]int)
-	for _, base := range s.Order {
-		if want != nil && !want(s.lines[base]) {
+// determinism. It refills groups, reusing its elements' Bases storage,
+// and returns the filled slice. The caller owns the buffer: it must not
+// regroup into it while a request still names one of its groups.
+func (n *Node) GroupByHome(groups []HomeGroup, s *LineSet, want func(*TxLine) bool) []HomeGroup {
+	if n.homeGroup == nil {
+		n.homeGroup = make([]int32, n.M.Cfg.Procs)
+	}
+	out := groups[:0]
+	for i, base := range s.Order {
+		if want != nil && !want(&s.lines[i]) {
 			continue
 		}
 		home := n.M.Home(base, n.ID)
-		gi, ok := idx[home]
-		if !ok {
+		// homeGroup[home] may be left over from an earlier grouping; it
+		// names this call's group only if that group is for home.
+		gi := int(n.homeGroup[home])
+		if gi >= len(out) || out[gi].Home != home {
 			gi = len(out)
-			idx[home] = gi
-			out = append(out, HomeGroup{Home: home})
+			n.homeGroup[home] = int32(gi)
+			if gi < cap(out) {
+				out = out[:gi+1]
+				out[gi] = HomeGroup{Home: home, Bases: out[gi].Bases[:0]}
+			} else {
+				out = append(out, HomeGroup{Home: home})
+			}
 		}
 		out[gi].Bases = append(out[gi].Bases, base)
 	}
@@ -76,8 +98,8 @@ func (n *Node) GroupByHome(s *LineSet, want func(*TxLine) bool) []HomeGroup {
 // its written words — its other words still match memory, so the whole
 // copy is current at v.
 func (n *Node) CommitLocal(s *LineSet, record *verify.Record, v mem.Version) {
-	for _, base := range s.Order {
-		tl := s.lines[base]
+	for i, base := range s.Order {
+		tl := &s.lines[i]
 		if !tl.Written.Any() {
 			continue
 		}
@@ -88,7 +110,7 @@ func (n *Node) CommitLocal(s *LineSet, record *verify.Record, v mem.Version) {
 					line.Data[w] = v
 				}
 			}
-			n.LineVer[base] = v
+			n.setLineVer(base, v)
 		}
 	}
 }

@@ -49,9 +49,9 @@ type Node struct {
 
 	Cache *cache.Cache
 	L1    *cache.TagArray
-	// LineVer is the version of each locally cached line, for protocols
+	// lineVer is the version of each locally cached line, for protocols
 	// that check their copies against the line's home (FillVersioned).
-	LineVer map[mem.Addr]mem.Version
+	lineVer LineTable[mem.Version]
 
 	// Ops is the current transaction; OpIdx is the next operation.
 	Ops   []workload.Op
@@ -69,6 +69,7 @@ type Node struct {
 	Breakdown stats.Breakdown
 
 	proc      Proc
+	homeGroup []int32 // GroupByHome's group index per home, sized on first use
 	phase     int
 	txIdx     int
 	idle      bool // at a phase barrier, or finished
@@ -80,12 +81,11 @@ type Node struct {
 func (n *Node) Init(m *Machine, id int, p Proc) {
 	g := m.Cfg.Geometry
 	*n = Node{
-		M:       m,
-		ID:      id,
-		Cache:   cache.New(g, m.Cfg.L2Size, m.Cfg.L2Ways),
-		L1:      cache.NewTagArray(g, m.Cfg.L1Size, m.Cfg.L1Ways),
-		LineVer: make(map[mem.Addr]mem.Version),
-		proc:    p,
+		M:     m,
+		ID:    id,
+		Cache: cache.New(g, m.Cfg.L2Size, m.Cfg.L2Ways),
+		L1:    cache.NewTagArray(g, m.Cfg.L1Size, m.Cfg.L1Ways),
+		proc:  p,
 	}
 	m.nodes = append(m.nodes, n)
 }
@@ -230,7 +230,7 @@ func (n *Node) Filled() {
 
 // Insert places data for base, which is not resident, in the L2. An
 // evicted victim is reported (KOverflow) and dropped from the L1 and from
-// LineVer.
+// the version table.
 func (n *Node) Insert(base mem.Addr, data []mem.Version) *cache.Line {
 	line, victim := n.Cache.Insert(base, data)
 	if victim != nil {
@@ -238,7 +238,7 @@ func (n *Node) Insert(base mem.Addr, data []mem.Version) *cache.Line {
 			n.M.Emit(obs.Event{Kind: obs.KOverflow, Node: n.ID, Peer: -1, Addr: uint64(victim.Base)})
 		}
 		n.L1.Invalidate(victim.Base)
-		delete(n.LineVer, victim.Base)
+		n.lineVer.Del(victim.Base)
 	}
 	return line
 }
@@ -247,8 +247,17 @@ func (n *Node) Insert(base mem.Addr, data []mem.Version) *cache.Line {
 // whether a copy is resident, for a home to confirm instead of resending
 // the data.
 func (n *Node) CurrentCopy(base mem.Addr) (mem.Version, bool) {
-	v, ok := n.LineVer[base]
-	return v, ok && n.Cache.Peek(base) != nil
+	e := n.lineVer.Get(base)
+	if e == nil {
+		return 0, false
+	}
+	return *e, n.Cache.Peek(base) != nil
+}
+
+// setLineVer records that the node's copy of base is current at v.
+func (n *Node) setLineVer(base mem.Addr, v mem.Version) {
+	e, _ := n.lineVer.Entry(base)
+	*e = v
 }
 
 // FillVersioned installs line data that arrived from the home at version v
@@ -261,7 +270,7 @@ func (n *Node) FillVersioned(base mem.Addr, data []mem.Version, v mem.Version) *
 		copy(line.Data, data)
 	}
 	line.VW = bits.All(n.M.Cfg.Geometry.WordsPerLine())
-	n.LineVer[base] = v
+	n.setLineVer(base, v)
 	if n.M.Obs != nil {
 		n.M.Emit(obs.Event{Kind: obs.KFill, Node: n.ID, Peer: -1, Addr: uint64(base), TID: uint64(v)})
 	}

@@ -61,7 +61,10 @@ type proc struct {
 	wv mem.Version
 	// tx holds the attempt's lines: Read once the home checked the line's
 	// timestamp, Written for the buffered writes.
-	tx      machine.LineSet
+	tx machine.LineSet
+	// groups and vgroups are reused from commit to commit. They are
+	// separate buffers because groups is still needed, for write-back or
+	// lock release, after vgroups is filled.
 	groups  []machine.HomeGroup // commit write-set, grouped by home
 	vgroups []machine.HomeGroup // validation read-set, grouped by home
 
@@ -298,7 +301,7 @@ func (p *proc) doStore(a mem.Addr) {
 // so the groups cannot change while a request is in flight.
 func (p *proc) Commit() {
 	p.commitAt = p.sys.Kernel.Now()
-	p.groups = p.GroupByHome(&p.tx, func(tl *machine.TxLine) bool { return tl.Written.Any() })
+	p.groups = p.GroupByHome(p.groups, &p.tx, func(tl *machine.TxLine) bool { return tl.Written.Any() })
 	if len(p.groups) == 0 {
 		// Read-only transaction: still acquire a unique wv and validate, so
 		// every transaction appears in the commit log with a unique TID.
@@ -383,7 +386,7 @@ func (p *proc) onWV(wv mem.Version) {
 		p.finishCommit()
 		return
 	}
-	p.vgroups = p.GroupByHome(&p.tx, func(tl *machine.TxLine) bool { return tl.Read })
+	p.vgroups = p.GroupByHome(p.vgroups, &p.tx, func(tl *machine.TxLine) bool { return tl.Read })
 	if len(p.vgroups) == 0 {
 		p.finishCommit()
 		return

@@ -62,7 +62,7 @@ type lineMeta struct {
 // System is the assembled TL2 machine.
 type System struct {
 	*machine.Machine
-	dirs []map[mem.Addr]*lineMeta
+	dirs []machine.LineTable[lineMeta] // per home
 
 	clock         mem.Version // the global version clock, hosted at node 0
 	clockReads    uint64
@@ -76,10 +76,7 @@ func NewSystem(cfg machine.Config, prog workload.Program) (*System, error) {
 		return nil, err
 	}
 	m.UseMesh()
-	s := &System{Machine: m, dirs: make([]map[mem.Addr]*lineMeta, cfg.Procs)}
-	for i := range s.dirs {
-		s.dirs[i] = make(map[mem.Addr]*lineMeta)
-	}
+	s := &System{Machine: m, dirs: make([]machine.LineTable[lineMeta], cfg.Procs)}
 	for i := 0; i < cfg.Procs; i++ {
 		newProc(s, i)
 	}
@@ -88,10 +85,9 @@ func NewSystem(cfg machine.Config, prog workload.Program) (*System, error) {
 
 // meta returns (allocating if needed) the line's metadata entry at home.
 func (s *System) meta(home int, base mem.Addr) *lineMeta {
-	m := s.dirs[home][base]
-	if m == nil {
-		m = &lineMeta{lockedBy: -1}
-		s.dirs[home][base] = m
+	m, added := s.dirs[home].Entry(base)
+	if added {
+		m.lockedBy = -1
 	}
 	return m
 }

@@ -12,8 +12,9 @@ block of BENCH_hotpath.json. Fails on
 
   * ns/op more than THRESHOLD (default 15%) above the baseline,
   * any allocation on the zero-alloc hot paths (kernel post/step and far
-    post, mesh send and 256-way multicast, the JSONL event encoder and the
-    stream log append), or a zero-alloc bench missing from the input, or
+    post, mesh send and 256-way multicast, the JSONL event encoder, the
+    stream log append, and the rivals' per-attempt line bookkeeping), or a
+    zero-alloc bench missing from the input, or
   * a per-protocol simulator run (BenchmarkProtocols/*) allocating more than
     ALLOC_THRESHOLD (15%) above its recorded allocs_op. Allocation counts do
     not depend on the host, so this check holds on any runner and is not
@@ -41,6 +42,7 @@ ZERO_ALLOC = {
     "BenchmarkMeshMulticast256",
     "BenchmarkJSONLStreamEvent",
     "BenchmarkStreamLogWrite",
+    "BenchmarkLineSetAttempt",
 }
 ALLOC_THRESHOLD = 0.15
 ALLOC_GATED = re.compile(r"^BenchmarkProtocols/")
